@@ -18,6 +18,12 @@ Asserts the acceptance criterion directly: the family sweep is at least
 3x faster, while the per-application results match the per-config runs —
 cold-start counts exactly, wasted memory within 1e-9.
 
+A second leg adds Figure 15's histogram-range sweep (1-4 h hybrids) to
+the list.  All four ranges share one recording pass, so that leg tracks
+the range-nested family under its own ``BENCH_results.json`` key (the
+first key's trend history stays comparable) together with the machine's
+``cpu_count`` and the commit.
+
 The module carries the ``slow_bench`` marker, so it stays out of the
 default (tier-1) run; CI exercises it in the nightly/workflow-dispatch
 job (.github/workflows/nightly.yml)::
@@ -27,10 +33,14 @@ job (.github/workflows/nightly.yml)::
 
 from __future__ import annotations
 
+import os
+import subprocess
 import time
+from pathlib import Path
 
 import pytest
 
+from repro.policies.registry import FAMILY_HYBRID_HISTOGRAM
 from repro.simulation.runner import RunnerOptions, WorkloadRunner
 from repro.simulation.sweep import combined_figure_factories
 
@@ -38,6 +48,7 @@ pytestmark = pytest.mark.slow_bench
 
 WASTE_TOLERANCE = 1e-9
 SWEEP_FIGURES = ("fig14", "fig16", "fig18")
+RANGE_SWEEP_FIGURES = ("fig14", "fig15", "fig16", "fig18")
 
 
 @pytest.fixture(scope="module")
@@ -48,6 +59,37 @@ def workload(experiment_context):
 @pytest.fixture(scope="module")
 def factories():
     return combined_figure_factories(SWEEP_FIGURES)
+
+
+def _git_commit() -> str:
+    try:
+        completed = subprocess.run(
+            ["git", "rev-parse", "HEAD"],
+            cwd=Path(__file__).resolve().parent,
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+    except (OSError, subprocess.CalledProcessError):
+        return "unknown"
+    return completed.stdout.strip() or "unknown"
+
+
+def _assert_family_matches(family_results, reference) -> None:
+    """Per-app cold starts exact, waste within 1e-9, mode usage exact."""
+    assert set(family_results) == set(reference)
+    for name, expected in reference.items():
+        actual = family_results[name]
+        assert len(actual.app_results) == len(expected.app_results)
+        for reference_app, actual_app in zip(expected.app_results, actual.app_results):
+            assert actual_app.app_id == reference_app.app_id
+            assert actual_app.cold_starts == reference_app.cold_starts
+            assert actual_app.wasted_memory_minutes == pytest.approx(
+                reference_app.wasted_memory_minutes,
+                abs=WASTE_TOLERANCE,
+                rel=WASTE_TOLERANCE,
+            )
+        assert actual.mode_usage() == expected.mode_usage()
 
 
 def _best_of(runs: int, fn) -> float:
@@ -69,19 +111,7 @@ def test_sweep_engine_matches_and_is_at_least_3x(workload, factories, record_ben
 
     # Equivalence first: a fast sweep that disagrees with the per-config
     # runs would be worthless.
-    assert set(family_results) == set(reference)
-    for name, expected in reference.items():
-        actual = family_results[name]
-        assert len(actual.app_results) == len(expected.app_results)
-        for reference_app, actual_app in zip(expected.app_results, actual.app_results):
-            assert actual_app.app_id == reference_app.app_id
-            assert actual_app.cold_starts == reference_app.cold_starts
-            assert actual_app.wasted_memory_minutes == pytest.approx(
-                reference_app.wasted_memory_minutes,
-                abs=WASTE_TOLERANCE,
-                rel=WASTE_TOLERANCE,
-            )
-        assert actual.mode_usage() == expected.mode_usage()
+    _assert_family_matches(family_results, reference)
 
     per_config_best = _best_of(2, lambda: per_config.run_policies(factories))
     family_best = _best_of(3, lambda: family.run_policies(factories))
@@ -99,6 +129,43 @@ def test_sweep_engine_matches_and_is_at_least_3x(workload, factories, record_ben
         configs=len(factories),
     )
     assert speedup >= 3.0
+
+
+def test_range_sweep_family_matches_per_config(workload, record_bench):
+    """Figures 14+15+16+18: all four histogram ranges in one family pass."""
+    factories = combined_figure_factories(RANGE_SWEEP_FIGURES)
+    per_config = WorkloadRunner(workload, RunnerOptions(sweep="per-policy"))
+    family = WorkloadRunner(workload, RunnerOptions(sweep="family"))
+    hybrid_groups = [
+        group
+        for group in family.sweep_groups(factories)
+        if group.key and group.key[0] == FAMILY_HYBRID_HISTOGRAM
+    ]
+    assert len(hybrid_groups) == 1
+
+    family_results = family.run_policies(factories)  # also warms both paths
+    _assert_family_matches(family_results, per_config.run_policies(factories))
+
+    per_config_best = _best_of(2, lambda: per_config.run_policies(factories))
+    family_best = _best_of(3, lambda: family.run_policies(factories))
+    speedup = per_config_best / family_best
+    print(
+        f"\ncombined {'+'.join(RANGE_SWEEP_FIGURES)} sweep ({len(factories)} configs): "
+        f"per-config best {per_config_best * 1e3:.0f} ms, "
+        f"family best {family_best * 1e3:.0f} ms, speedup {speedup:.1f}x"
+    )
+    record_bench(
+        "sweep/range-family-vs-per-config",
+        speedup=speedup,
+        per_config_seconds=per_config_best,
+        family_seconds=family_best,
+        configs=len(factories),
+        statistic="best of 2 (per-config) and 3 (family) runs",
+        bar="family results equal per-config results",
+        passed=True,
+        cpu_count=os.cpu_count() or 1,
+        commit=_git_commit(),
+    )
 
 
 @pytest.mark.parametrize("sweep", ["per-policy", "family"])

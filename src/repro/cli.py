@@ -58,7 +58,7 @@ from repro.platform.cluster import ClusterConfig
 from repro.platform.faults import FaultPlan
 from repro.platform.loadbalancer import BALANCER_STRATEGIES
 from repro.platform.replay import ReplayConfig
-from repro.policies.registry import parse_policy_spec
+from repro.policies.registry import FAMILY_HYBRID_HISTOGRAM, parse_policy_spec
 from repro.simulation.engine import EXECUTION_MODES, SWEEP_MODES
 from repro.simulation.runner import PolicyComparison, RunnerOptions, WorkloadRunner
 from repro.simulation.sweep import BASELINE_KEEPALIVE_MINUTES, combined_figure_factories
@@ -258,7 +258,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     for group in groups:
         if group.key is not None and len(group.factories) > 1:
             members = ", ".join(factory.name for factory in group.factories)
-            print(f"  family {group.key[0]}: {members}")
+            label = group.key[0]
+            if label == FAMILY_HYBRID_HISTOGRAM:
+                ranges = sorted(
+                    {factory.family_config.histogram_range_minutes for factory in group.factories}
+                )
+                label += f" (ranges {', '.join(f'{r:g}' for r in ranges)} min)"
+            print(f"  family {label}: {members}")
 
     start = time.perf_counter()
     try:

@@ -30,6 +30,17 @@ percentile bin of every row is **one** exact integer
 targets are integerized with ``ceil`` first, which is exact: cumulative
 counts are integers, so ``count(cum < target) == count(cum < ceil(target))``.
 
+Nested ranges
+-------------
+When the bin width is a power of two (so ``idle / width`` is exact) and
+``R / width`` is an integer, a range-``R`` histogram is exactly the first
+``R / width`` bins of any wider histogram with the same bin width: an
+idle time lands in one of those bins if and only if it is below ``R``
+(:func:`nests_exactly`).  A bank built with ``nested_ranges`` therefore
+serves every such narrower range from its one cumulative matrix; it only
+keeps a separate Welford accumulator per nested range (updated for the
+observations that fall inside it).
+
 All float arithmetic mirrors the scalar code operation for operation, so
 a bank row and a scalar :class:`IdleTimeHistogram` that observe the same
 idle times agree on every derived quantity down to the last bit — the
@@ -37,6 +48,9 @@ property the bank-equivalence test suite locks down.
 """
 
 from __future__ import annotations
+
+import math
+from typing import Sequence
 
 import numpy as np
 
@@ -49,6 +63,91 @@ from repro.core.welford import Welford
 _ROW_OFFSET_SPACING = np.int64(1) << 32
 
 
+def nests_exactly(range_minutes: float, bin_width_minutes: float) -> bool:
+    """Whether a range's histogram is a bin prefix of every wider one.
+
+    True when the bin width is a power of two (``idle / width`` is then
+    exact, so bin membership never depends on rounding) and the range is
+    a whole number of bins.  Any two ranges passing this test with one bin
+    width can share a single :class:`HistogramBank` (module docstring).
+    """
+    mantissa, _ = math.frexp(bin_width_minutes)
+    return mantissa == 0.5 and float(range_minutes / bin_width_minutes).is_integer()
+
+
+def _replace_bin_stat_prefix(
+    mean: np.ndarray,
+    m2: np.ndarray,
+    nb: int,
+    old_values: np.ndarray,
+    new_values: np.ndarray,
+) -> None:
+    """:func:`_replaced_bin_stat` for leading rows, in place.
+
+    ``mean`` and ``m2`` are slice views of the rows to update.  Same
+    per-element arithmetic, operating on the views instead of gathered
+    copies (``maximum(m2, 0)`` equals the scalar ``m2 = 0 if m2 < 0 else
+    m2`` guard — no NaNs can appear here).
+    """
+    if nb == 1:
+        mean[:] = new_values
+        m2[:] = 0.0
+        return
+    # remove(old)
+    old_mean = (nb * mean - old_values) / (nb - 1)
+    np.subtract(m2, (old_values - mean) * (old_values - old_mean), out=m2)
+    np.maximum(m2, 0.0, out=m2)
+    # add(new)
+    delta = new_values - old_mean
+    np.add(old_mean, delta / nb, out=old_mean)
+    delta2 = new_values - old_mean
+    np.add(m2, delta * delta2, out=m2)
+    mean[:] = old_mean
+
+
+def _replaced_bin_stat(
+    mean: np.ndarray,
+    m2: np.ndarray,
+    nb: int | np.ndarray,
+    old_values: np.ndarray,
+    new_values: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Vectorized :meth:`Welford.replace` over ``nb``-value streams.
+
+    Returns the replaced ``(mean, m2)``, ``nb`` broadcast against them.
+    Mirrors the scalar remove-then-add sequence operation for operation
+    so each element stays bit-identical to a scalar accumulator fed the
+    same replacements.  With ``nb == 1``, remove() empties the
+    accumulator and add() refills it with one value: the mean becomes
+    the new value and m2 collapses to zero.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # remove(old)
+        old_mean = (nb * mean - old_values) / (nb - 1)
+        m2 = m2 - (old_values - mean) * (old_values - old_mean)
+        m2 = np.where(m2 < 0.0, 0.0, m2)
+        # add(new)
+        delta = new_values - old_mean
+        mean = old_mean + delta / nb
+        delta2 = new_values - mean
+        m2 = m2 + delta * delta2
+    if np.any(nb == 1):
+        single = nb == 1
+        mean = np.where(single, new_values, mean)
+        m2 = np.where(single, 0.0, m2)
+    return mean, m2
+
+
+def _bin_count_cv(nb, mean: np.ndarray, m2: np.ndarray) -> np.ndarray:
+    """Welford.cv of bin-count accumulators, elementwise (``nb`` broadcast)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cv = np.sqrt(m2 / nb) / np.abs(mean)
+    # Same zero-mean convention as Welford.cv: an all-zero row is
+    # perfectly regular (0.0); zero mean with residual variance is inf.
+    zero_mean = mean == 0.0
+    return np.where(zero_mean, np.where(m2 == 0.0, 0.0, np.inf), cv)
+
+
 class HistogramBank:
     """Fixed-range idle-time histograms for a whole population of apps.
 
@@ -57,6 +156,8 @@ class HistogramBank:
         range_minutes: Histogram range shared by every row; idle times at
             or beyond this value are counted as out of bounds.
         bin_width_minutes: Width of each bin in minutes.
+        nested_ranges: Narrower ranges to track alongside (module
+            docstring); each must pass :func:`nests_exactly`.
     """
 
     def __init__(
@@ -64,6 +165,7 @@ class HistogramBank:
         num_apps: int,
         range_minutes: float = 240.0,
         bin_width_minutes: float = 1.0,
+        nested_ranges: Sequence[float] = (),
     ) -> None:
         if num_apps < 0:
             raise ValueError("number of applications must be non-negative")
@@ -95,8 +197,28 @@ class HistogramBank:
         # histogram seeds its accumulator with num_bins zeros, which yields
         # exactly (count=num_bins, mean=0, m2=0); the count never changes
         # afterwards because every update is a replace.
-        self._bin_mean = np.zeros(self._num_apps, dtype=np.float64)
-        self._bin_m2 = np.zeros(self._num_apps, dtype=np.float64)
+        # One state row per tracked range, narrowest first and the bank's
+        # own range last; every nested range is seeded the same way.
+        nested = sorted({float(r) for r in nested_ranges} - {self._range_minutes})
+        for r in nested:
+            if not (
+                0 < r < self._range_minutes
+                and nests_exactly(r, self._bin_width)
+                and nests_exactly(self._range_minutes, self._bin_width)
+            ):
+                raise ValueError(
+                    f"range {r:g} does not nest exactly in range "
+                    f"{self._range_minutes:g} with bin width {self._bin_width:g}"
+                )
+        self._ranges = (*nested, self._range_minutes)
+        self._range_index = {r: i for i, r in enumerate(self._ranges)}
+        self._range_bins = np.array(
+            [round(r / self._bin_width) for r in self._ranges], dtype=np.int64
+        )
+        self._stat_mean = np.zeros((len(self._ranges), self._num_apps), dtype=np.float64)
+        self._stat_m2 = np.zeros_like(self._stat_mean)
+        self._bin_mean = self._stat_mean[-1]
+        self._bin_m2 = self._stat_m2[-1]
 
     # ------------------------------------------------------------------ #
     # Basic properties
@@ -145,6 +267,19 @@ class HistogramBank:
     def metadata_bytes(self) -> int:
         """Approximate per-application metadata size (4 bytes per bin)."""
         return 4 * self._num_bins
+
+    def num_bins_for(self, range_minutes: float | None = None) -> int:
+        """Bin count of the bank's own range or of one of its nested ranges."""
+        return int(self._range_bins[self._index(range_minutes)])
+
+    def _index(self, range_minutes: float | None) -> int:
+        """State row of one tracked range (default: the bank's own)."""
+        if range_minutes is None:
+            return len(self._ranges) - 1
+        try:
+            return self._range_index[range_minutes]
+        except KeyError:
+            raise ValueError(f"range {range_minutes:g} is not tracked by this bank") from None
 
     def counts_row(self, row: int) -> np.ndarray:
         """One row's per-bin counts (reconstructed from the cumulative row)."""
@@ -247,72 +382,32 @@ class HistogramBank:
             bins > 0, cum[rows, np.maximum(bins - 1, 0)], self._offsets[rows]
         )
         old = (right - left).astype(np.float64)
+        new = old + 1.0
         mask = self._bin_grid >= bins[:, None]
+        k = rows.size
         if prefix:
-            self._replace_bin_stat_prefix(rows.size, old, old + 1.0)
-            cum[: rows.size] += mask
+            _replace_bin_stat_prefix(
+                self._bin_mean[:k], self._bin_m2[:k], self._num_bins, old, new
+            )
+            cum[:k] += mask
         else:
-            self._replace_bin_stat(rows, old, old + 1.0)
+            self._bin_mean[rows], self._bin_m2[rows] = _replaced_bin_stat(
+                self._bin_mean[rows], self._bin_m2[rows], self._num_bins, old, new
+            )
             cum[rows] += mask
-
-    def _replace_bin_stat_prefix(
-        self, k: int, old_values: np.ndarray, new_values: np.ndarray
-    ) -> None:
-        """:meth:`_replace_bin_stat` for the first ``k`` rows, in place.
-
-        Same per-element arithmetic, operating on slice views instead of
-        gathered copies (``maximum(m2, 0)`` equals the scalar
-        ``m2 = 0 if m2 < 0 else m2`` guard — no NaNs can appear here).
-        """
-        nb = self._num_bins
-        mean = self._bin_mean[:k]
-        m2 = self._bin_m2[:k]
-        if nb == 1:
-            mean[:] = new_values
-            m2[:] = 0.0
-            return
-        # remove(old)
-        old_mean = (nb * mean - old_values) / (nb - 1)
-        np.subtract(m2, (old_values - mean) * (old_values - old_mean), out=m2)
-        np.maximum(m2, 0.0, out=m2)
-        # add(new)
-        delta = new_values - old_mean
-        np.add(old_mean, delta / nb, out=old_mean)
-        delta2 = new_values - old_mean
-        np.add(m2, delta * delta2, out=m2)
-        mean[:] = old_mean
-
-    def _replace_bin_stat(
-        self, rows: np.ndarray, old_values: np.ndarray, new_values: np.ndarray
-    ) -> None:
-        """Vectorized :meth:`Welford.replace` across rows.
-
-        Mirrors the scalar remove-then-add sequence operation for
-        operation so each row's (mean, m2) stays bit-identical to a scalar
-        accumulator fed the same replacements.
-        """
-        nb = self._num_bins
-        mean = self._bin_mean[rows]
-        m2 = self._bin_m2[rows]
-        if nb == 1:
-            # remove() empties the accumulator, add() refills it with one
-            # value: mean becomes the value, m2 collapses to zero.
-            mean = new_values.astype(np.float64, copy=True)
-            m2 = np.zeros_like(mean)
-        else:
-            # remove(old)
-            reduced = nb - 1
-            old_mean = (nb * mean - old_values) / reduced
-            m2 = m2 - (old_values - mean) * (old_values - old_mean)
-            mean = old_mean
-            m2 = np.where(m2 < 0.0, 0.0, m2)
-            # add(new)
-            delta = new_values - mean
-            mean = mean + delta / nb
-            delta2 = new_values - mean
-            m2 = m2 + delta * delta2
-        self._bin_mean[rows] = mean
-        self._bin_m2[rows] = m2
+        if len(self._ranges) > 1:
+            # A nested range sees exactly the observations in its leading
+            # bins, and the count it replaces is the wide bin's (the bins
+            # coincide).  All nested ranges update at once; each keeps its
+            # old state where the observation fell outside it.
+            columns = slice(None, k) if prefix else rows
+            nb = self._range_bins[:-1, None]
+            mean = self._stat_mean[:-1, columns]
+            m2 = self._stat_m2[:-1, columns]
+            new_mean, new_m2 = _replaced_bin_stat(mean, m2, nb, old, new)
+            inside = bins < nb
+            self._stat_mean[:-1, columns] = np.where(inside, new_mean, mean)
+            self._stat_m2[:-1, columns] = np.where(inside, new_m2, m2)
 
     # ------------------------------------------------------------------ #
     # Derived statistics
@@ -335,16 +430,25 @@ class HistogramBank:
 
     def bin_count_cv_prefix(self, n: int) -> np.ndarray:
         """CV of the bin counts for the first ``n`` rows only."""
-        nb = self._num_bins
-        mean = self._bin_mean[:n]
-        m2 = self._bin_m2[:n]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            cv = np.sqrt(m2 / nb) / np.abs(mean)
-        # Same zero-mean convention as Welford.cv: an all-zero row is
-        # perfectly regular (0.0); zero mean with residual variance is inf.
-        zero_mean = mean == 0.0
-        cv = np.where(zero_mean, np.where(m2 == 0.0, 0.0, np.inf), cv)
-        return cv
+        return _bin_count_cv(self._num_bins, self._bin_mean[:n], self._bin_m2[:n])
+
+    def bin_count_cvs_prefix(self, n: int) -> np.ndarray:
+        """CVs of the first ``n`` rows for every tracked range at once.
+
+        Shape ``(ranges, n)``: the nested ranges in ascending order, then
+        the bank's own range (whose row is :meth:`bin_count_cv_prefix`).
+        """
+        return _bin_count_cv(
+            self._range_bins[:, None], self._stat_mean[:, :n], self._stat_m2[:, :n]
+        )
+
+    def in_bounds_prefix(self, n: int) -> np.ndarray:
+        """In-bounds counts of the first ``n`` rows for every tracked range.
+
+        Shape ``(ranges, n)`` in :meth:`bin_count_cvs_prefix` order: a
+        range's in-bounds count is its last bin's cumulative count.
+        """
+        return (self._cum[:n, self._range_bins - 1] - self._offsets[:n, None]).T
 
     def head_tail_cutoffs(
         self, rows: np.ndarray, head_percentile: float, tail_percentile: float
@@ -413,6 +517,7 @@ class HistogramBank:
         n: int,
         percentiles: np.ndarray | tuple[float, ...],
         in_bounds: np.ndarray | None = None,
+        num_bins: np.ndarray | None = None,
     ) -> np.ndarray:
         """Percentile bin indices for the first ``n`` rows, without validation.
 
@@ -430,7 +535,14 @@ class HistogramBank:
         Args:
             n: Number of leading rows to compute bins for.
             percentiles: Percentile values in ``[0, 100]``.
-            in_bounds: Optional precomputed per-row in-bounds counts.
+            in_bounds: Optional precomputed per-row in-bounds counts, shape
+                ``(n,)``, or ``(len(percentiles), n)`` when the percentiles
+                belong to different nested ranges.
+            num_bins: Optional per-percentile bin count of the range each
+                percentile belongs to (default: the bank's own).  A nested
+                range's cumulative counts are the leading bins of the wide
+                row and never exceed its in-bounds count beyond them, so
+                the one search stays exact once clipped to that range.
 
         Returns:
             Integer array of shape ``(len(percentiles), n)``: the bin
@@ -446,26 +558,33 @@ class HistogramBank:
         threshold = np.ceil(target).astype(np.int64) + self._offsets[:n]
         index = np.searchsorted(flat, threshold.reshape(-1), side="left")
         index = index.reshape(qs.size, n) - self._row_starts[:n]
-        return np.minimum(index, self._num_bins - 1)
+        if num_bins is None:
+            return np.minimum(index, self._num_bins - 1)
+        return np.minimum(index, np.asarray(num_bins, dtype=np.int64)[:, None] - 1)
 
     # ------------------------------------------------------------------ #
     # Interop with the scalar histogram
     # ------------------------------------------------------------------ #
-    def extract_row(self, row: int) -> IdleTimeHistogram:
+    def extract_row(self, row: int, range_minutes: float | None = None) -> IdleTimeHistogram:
         """Clone one row into a scalar :class:`IdleTimeHistogram`.
 
         The clone carries the row's exact Welford state (not a recomputed
         one), so a scalar policy continuing from the clone makes the same
-        decisions the bank would have made.
+        decisions the bank would have made.  ``range_minutes`` clones a
+        nested range's histogram instead: its leading bins, with every
+        other observation counted out of bounds.
         """
+        index = self._index(range_minutes)
+        nb = int(self._range_bins[index])
+        counts = self.counts_row(row)[:nb]
         return IdleTimeHistogram.from_state(
-            self.counts_row(row),
-            oob_count=int(self._oob_count[row]),
-            range_minutes=self._range_minutes,
+            counts,
+            oob_count=int(self._total_count[row]) - int(counts.sum()),
+            range_minutes=self._ranges[index],
             bin_width_minutes=self._bin_width,
             bin_stats=Welford(
-                count=self._num_bins,
-                mean=float(self._bin_mean[row]),
-                m2=float(self._bin_m2[row]),
+                count=nb,
+                mean=float(self._stat_mean[index, row]),
+                m2=float(self._stat_m2[index, row]),
             ),
         )

@@ -35,6 +35,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Any, Callable
 
+from repro.core.histogram_bank import nests_exactly
 from repro.policies.base import KeepAlivePolicy
 from repro.policies.fixed import FixedKeepAlivePolicy
 from repro.policies.no_unload import NoUnloadingPolicy
@@ -49,9 +50,11 @@ FAMILY_CONSTANT_KEEPALIVE = "constant-keepalive"
 
 #: Family of hybrid histogram policies (Section 4.2).  ``family_config``
 #: is the :class:`~repro.core.config.HybridPolicyConfig`; configurations
-#: sharing a histogram geometry (range and bin width) also share a sweep
-#: key, because their histogram contents and idle-time forecasts depend
-#: only on the trace, not on the cutoff/pre-warming/CV knobs.
+#: sharing a bin width also share a sweep key, because their histogram
+#: contents and idle-time forecasts depend only on the trace, not on the
+#: cutoff/pre-warming/CV knobs, and a narrower range's histogram is the
+#: leading bins of a wider one
+#: (:func:`~repro.core.histogram_bank.nests_exactly`).
 FAMILY_HYBRID_HISTOGRAM = "hybrid-histogram"
 
 
@@ -111,6 +114,12 @@ class PolicyFactory:
         single pass over the workload, computing the trace-derived state
         they have in common only once.  ``None`` marks the factory as
         unshareable; it is then evaluated on its own.
+
+        Hybrid configurations are keyed ``(family, bin width)`` when their
+        range nests exactly (a power-of-two bin width and a whole number
+        of bins, :func:`~repro.core.histogram_bank.nests_exactly`): one
+        histogram at the widest range then serves every range.  Any other
+        geometry keeps the ``(family, range, bin width)`` key.
         """
         if self.family is None or self.family_config is None:
             return None
@@ -119,14 +128,11 @@ class PolicyFactory:
             # gaps, so the whole grid forms one family.
             return (FAMILY_CONSTANT_KEEPALIVE,)
         if self.family == FAMILY_HYBRID_HISTOGRAM:
-            config = self.family_config
-            # Histogram contents (and therefore CV and cutoff trajectories)
-            # are shared only across configurations with one geometry.
-            return (
-                FAMILY_HYBRID_HISTOGRAM,
-                config.histogram_range_minutes,
-                config.bin_width_minutes,
-            )
+            range_minutes = self.family_config.histogram_range_minutes
+            bin_width = self.family_config.bin_width_minutes
+            if nests_exactly(range_minutes, bin_width):
+                return (FAMILY_HYBRID_HISTOGRAM, bin_width)
+            return (FAMILY_HYBRID_HISTOGRAM, range_minutes, bin_width)
         return None
 
     def renamed(self, name: str) -> "PolicyFactory":

@@ -227,16 +227,6 @@ class ColdStartSimulator:
         return times
 
     # ------------------------------------------------------------------ #
-    def waste_between(
-        self, previous_time: float, decision: PolicyDecision, next_time: float
-    ) -> float:
-        """Public alias of :meth:`_waste_between` for the engines.
-
-        The sweep engine accumulates tail waste with exactly this
-        per-decision arithmetic (same hook role as :meth:`validate_times`).
-        """
-        return self._waste_between(previous_time, decision, next_time)
-
     def _waste_between(
         self, previous_time: float, decision: PolicyDecision, next_time: float
     ) -> float:

@@ -16,10 +16,11 @@ Every sweep runs through :meth:`WorkloadRunner.run_policies` and
 therefore through the shared-state sweep engine
 (:mod:`repro.simulation.sweep_engine`): under the default ``auto``
 routing, the whole fixed keep-alive grid is evaluated in one closed-form
-pass over shared per-app gaps, and hybrid configurations sharing a
-histogram geometry (all of Figures 16–19) share one histogram-update
-pass, with per-configuration cutoffs/CV thresholds evaluated as decision
-masks and ARIMA forecasts fitted once per application.  Pass
+pass over shared per-app gaps, and hybrid configurations sharing a bin
+width (all of Figures 15–19: every histogram range nests exactly in the
+widest one) share one histogram-update pass, with per-configuration
+ranges/cutoffs/CV thresholds evaluated as decision masks and ARIMA
+forecasts fitted once per application.  Pass
 ``RunnerOptions(sweep="per-policy")`` to restore the one-run-per-
 configuration reference behaviour.
 

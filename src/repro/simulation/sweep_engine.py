@@ -10,21 +10,28 @@ sweep's configurations share almost all of their work:
   keep-alive grid against them, reproducing
   :func:`~repro.simulation.engine.simulate_constant_decision_app` bit for
   bit per configuration.
-* every **hybrid histogram** policy with one histogram geometry (range
-  and bin width) shares its trace-derived state: histogram contents, the
-  bin-count CV trajectory, and the idle-time (ARIMA) forecasts depend
-  only on the trace, never on the cutoff/pre-warming/CV knobs — the
-  knobs only select *which decision* is made from that state.
-  :func:`_record_hybrid_family` therefore steps the workload through one
-  :class:`~repro.core.histogram_bank.HistogramBank` (the same
-  longest-first lockstep prefix protocol as the banked engine, with the
-  same scalar drain for the few longest applications) and records, per
-  invocation, the CV and the percentile bin of every distinct cutoff
-  percentile any configuration uses.  Each configuration is then
-  evaluated as pure decision *masks* over those recordings — flat
-  vectorized passes with no per-step loop — and ARIMA forecasts are
-  computed lazily, once per (application, invocation), and reused by
-  every configuration that triggers them (:class:`_ArimaForecastMemo`).
+* every **hybrid histogram** policy with one bin width shares its
+  trace-derived state: histogram contents, the bin-count CV trajectory,
+  and the idle-time (ARIMA) forecasts depend only on the trace, never on
+  the cutoff/pre-warming/CV knobs — the knobs only select *which
+  decision* is made from that state.  The histogram range does not split
+  the family either: with a power-of-two bin width and whole-bin ranges,
+  a range-``R`` histogram is exactly the leading ``R / width`` bins of
+  the widest one, and its OOB count is the number of gaps at or beyond
+  ``R`` (:func:`~repro.core.histogram_bank.nests_exactly`; other
+  geometries keep one family per range).  :func:`_record_hybrid_family`
+  therefore steps the workload through one
+  :class:`~repro.core.histogram_bank.HistogramBank` at the widest range
+  (the same longest-first lockstep prefix protocol as the banked engine,
+  with the same scalar drain for the few longest applications), tracking
+  every narrower range's Welford state alongside, and records, per
+  invocation and per range, the CV and the percentile bin of every
+  distinct cutoff percentile that range's configurations use.  Each
+  configuration is then evaluated as pure decision *masks* over its
+  range's recordings — flat vectorized passes with no per-step loop —
+  and ARIMA forecasts are computed lazily, once per (application,
+  invocation), and reused by every configuration that triggers them,
+  whatever its range (:class:`_ArimaForecastMemo`).
 
 Because the recorded quantities are bit-identical to what each
 configuration's own banked (or scalar) run would have computed — the
@@ -56,8 +63,8 @@ from typing import TYPE_CHECKING, Callable, Sequence
 import numpy as np
 
 from repro.core.forecaster import forecast_idle_times
+from repro.core.histogram import IdleTimeHistogram
 from repro.core.histogram_bank import HistogramBank
-from repro.core.windows import PolicyDecision
 from repro.policies.registry import (
     FAMILY_CONSTANT_KEEPALIVE,
     FAMILY_HYBRID_HISTOGRAM,
@@ -137,7 +144,7 @@ def group_factories(
     members: dict[tuple, list[PolicyFactory]] = {}
     ordered_keys: list[tuple | None] = []
     singletons: dict[int, PolicyFactory] = {}
-    for position, factory in enumerate(factories):
+    for factory in factories:
         key = factory.sweep_key if enabled else None
         if key is None:
             ordered_keys.append(None)
@@ -408,41 +415,43 @@ class _HybridFamilyRecording:
     Applications are ordered longest-first (the banked stepping order);
     application ``r`` occupies flat positions ``[offsets[r],
     offsets[r] + counts[r])``, one per invocation in time order.  Every
-    recorded value is exactly what a scalar (or banked) hybrid policy of
-    this geometry observes at that invocation's decision point.
+    recorded value is exactly what a scalar (or banked) hybrid policy with
+    that histogram range observes at that invocation's decision point.
     """
 
     order: np.ndarray  #: sorted row -> work-item index
     counts: np.ndarray  #: invocations per sorted row
     offsets: np.ndarray  #: CSR start per sorted row
     times: np.ndarray  #: flat timestamps, sorted-app order
-    cv: np.ndarray  #: bin-count CV at each decision point
-    bins: dict[float, np.ndarray]  #: percentile -> bin index per invocation
+    cv: dict[float, np.ndarray]  #: range -> bin-count CV per decision point
+    bins: dict[tuple[float, float], np.ndarray]  #: (range, percentile) -> bin index
     total: np.ndarray  #: idle times observed at each decision point
-    oob: np.ndarray  #: ... of which out of the histogram range
-    range_minutes: float
+    oob: dict[float, np.ndarray]  #: range -> ... of which out of that range
     bin_width_minutes: float
 
 
 def _record_hybrid_family(
     items: Sequence[_AppWorkItem],
     simulator: "ColdStartSimulator",
-    range_minutes: float,
     bin_width_minutes: float,
-    percentiles: Sequence[float],
+    percentiles: dict[float, Sequence[float]],
     drain_threshold: int = DEFAULT_SCALAR_DRAIN_THRESHOLD,
 ) -> _HybridFamilyRecording:
     """One shared pass over the workload recording per-invocation state.
 
-    Mirrors the banked engine's grouped stepping: applications are
-    assigned rows longest-first and stepped in lockstep prefixes through
-    one :class:`HistogramBank`; once ``drain_threshold`` or fewer rows
-    remain active, each survivor is cloned into a scalar
-    :class:`~repro.core.histogram.IdleTimeHistogram`
-    (:meth:`HistogramBank.extract_row` preserves the exact Welford state)
-    and recorded to the end through the scalar code path — both paths
-    produce bit-identical CV and percentile-bin trajectories, which the
-    bank-equivalence suite locks down.
+    ``percentiles`` maps each histogram range of the family to the cutoff
+    percentiles its configurations use.  Mirrors the banked engine's
+    grouped stepping: applications are assigned rows longest-first and
+    stepped in lockstep prefixes through one :class:`HistogramBank` at
+    the widest range, which tracks every narrower range as a nested range
+    (exact under :func:`~repro.core.histogram_bank.nests_exactly`, which
+    the sweep key guarantees whenever a family has several ranges).  Once
+    ``drain_threshold`` or fewer rows remain active, each survivor is
+    cloned into one scalar :class:`~repro.core.histogram.IdleTimeHistogram`
+    per range (:meth:`HistogramBank.extract_row` preserves the exact
+    Welford state) and recorded to the end through the scalar code path —
+    both paths produce bit-identical CV and percentile-bin trajectories,
+    which the bank-equivalence suite locks down.
     """
     num = len(items)
     times_list = [simulator.validate_times(item.times) for item in items]
@@ -461,17 +470,30 @@ def _record_hybrid_family(
     occupancy = np.bincount(counts_sorted, minlength=max_count + 1)
     active_per_step = num - np.cumsum(occupancy)[:max_count]
 
-    total_invocations = int(counts.sum())
-    cv = np.zeros(total_invocations, dtype=np.float64)
-    percentiles = list(percentiles)
-    bins = {q: np.zeros(total_invocations, dtype=np.int64) for q in percentiles}
-    qs = np.asarray(percentiles, dtype=np.float64)
-    qs_fraction = qs / 100.0
-
+    range_qs = {r: sorted({float(q) for q in percentiles[r]}) for r in sorted(percentiles)}
+    ranges = list(range_qs)
     bank = HistogramBank(
-        num, range_minutes=range_minutes, bin_width_minutes=bin_width_minutes
+        num,
+        range_minutes=ranges[-1],
+        bin_width_minutes=bin_width_minutes,
+        nested_ranges=ranges[:-1],
     )
-    num_bins = bank.num_bins
+    # Every (range, percentile) pair is searched in one batch per step;
+    # the bank tracks the ranges in this same ascending order.
+    pairs = [(r, q) for r, qs in range_qs.items() for q in qs]
+    pair_qs = np.array([q for _, q in pairs], dtype=np.float64)
+    pair_range = np.array([ranges.index(r) for r, _ in pairs], dtype=np.intp)
+    pair_bins = np.array([bank.num_bins_for(r) for r, _ in pairs], dtype=np.int64)
+
+    # One row per range (CV) and per pair (bins), filled a step at a time;
+    # bins take the narrowest dtype that also holds ``bin + 1``.
+    total_invocations = int(counts.sum())
+    cv_rows = np.zeros((len(ranges), total_invocations), dtype=np.float64)
+    bin_rows = np.zeros(
+        (len(pairs), total_invocations), dtype=np.min_scalar_type(-bank.num_bins)
+    )
+    cv = dict(zip(ranges, cv_rows))
+    bins = dict(zip(pairs, bin_rows))
     for step in range(max_count):
         active = int(active_per_step[step])
         if active <= drain_threshold:
@@ -479,53 +501,45 @@ def _record_hybrid_family(
             # through scalar histograms resumed from their bank rows.
             for row in range(active):
                 o = int(offsets[row])
-                histogram = bank.extract_row(row)
-                for k in range(step, int(counts_sorted[row])):
-                    if k > 0:
-                        histogram.observe(float(flat[o + k] - flat[o + k - 1]))
-                    position = o + k
-                    cv[position] = histogram.bin_count_cv
-                    in_bounds = histogram.in_bounds_count
-                    if in_bounds:
-                        # The scalar percentile() bin search, batched over
-                        # every distinct percentile of the family.
-                        cumulative = np.cumsum(histogram.counts)
-                        targets = np.maximum(qs_fraction * in_bounds, 1e-12)
-                        indices = np.minimum(
-                            np.searchsorted(cumulative, targets, side="left"),
-                            num_bins - 1,
-                        )
-                        for qi, q in enumerate(percentiles):
-                            bins[q][position] = indices[qi]
+                for r, qs in range_qs.items():
+                    _drain_row(
+                        bank.extract_row(row, r),
+                        flat[o : o + int(counts_sorted[row])],
+                        step,
+                        cv[r][o:],
+                        [(q, bins[(r, q)][o:]) for q in qs],
+                    )
             break
         positions = offsets[:active] + step
         if step > 0:
             bank.observe_prefix(flat[positions] - flat[positions - 1])
-        cv[positions] = bank.bin_count_cv_prefix(active)
-        in_bounds = bank.in_bounds_count[:active]
-        bin_matrix = bank.percentile_bins_prefix(active, qs, in_bounds)
-        for qi, q in enumerate(percentiles):
-            bins[q][positions] = bin_matrix[qi]
+        cv_rows[:, positions] = bank.bin_count_cvs_prefix(active)
+        in_bounds = bank.in_bounds_prefix(active)[pair_range]
+        bin_rows[:, positions] = bank.percentile_bins_prefix(
+            active, pair_qs, in_bounds, pair_bins
+        )
 
     # Observation counters are pure gap counts; compute them flat instead
     # of recording them.  total at decision k is k (one idle time per
-    # preceding gap); oob counts the gaps at or beyond the range, with
+    # preceding gap); oob counts the gaps at or beyond each range, with
     # exactly the ``idle < range`` comparison the histogram applies.
-    total = (
-        np.arange(total_invocations, dtype=np.int64)
-        - np.repeat(offsets, counts_sorted)
-        if total_invocations
-        else np.zeros(0, dtype=np.int64)
-    )
-    oob = np.zeros(total_invocations, dtype=np.int64)
+    # OOB counts never exceed an application's invocation count, which
+    # sizes their dtype.
+    total = np.zeros(total_invocations, dtype=np.int64)
+    oob_dtype = np.min_scalar_type(max_count)
+    oob = {r: np.zeros(total_invocations, dtype=oob_dtype) for r in ranges}
     if total_invocations:
+        total = np.arange(total_invocations, dtype=np.int64) - np.repeat(
+            offsets, counts_sorted
+        )
         gaps = np.zeros(total_invocations, dtype=np.float64)
         gaps[1:] = flat[1:] - flat[:-1]
-        gaps[offsets[counts_sorted > 0]] = 0.0
-        oob_flag = (gaps >= range_minutes).astype(np.int64)
-        cumulative = np.cumsum(oob_flag)
-        bases = np.repeat(cumulative[offsets[counts_sorted > 0]], counts_sorted[counts_sorted > 0])
-        oob = cumulative - bases
+        populated = counts_sorted > 0
+        gaps[offsets[populated]] = 0.0
+        for r in ranges:
+            cumulative = np.cumsum(gaps >= r)
+            bases = np.repeat(cumulative[offsets[populated]], counts_sorted[populated])
+            oob[r] = (cumulative - bases).astype(oob_dtype)
     return _HybridFamilyRecording(
         order=order,
         counts=counts_sorted,
@@ -535,9 +549,39 @@ def _record_hybrid_family(
         bins=bins,
         total=total,
         oob=oob,
-        range_minutes=range_minutes,
         bin_width_minutes=bin_width_minutes,
     )
+
+
+def _drain_row(
+    histogram: IdleTimeHistogram,
+    times: np.ndarray,
+    step: int,
+    cv: np.ndarray,
+    bins: list[tuple[float, np.ndarray]],
+) -> None:
+    """Record one application from ``step`` on through a scalar histogram.
+
+    ``times`` are the application's timestamps; ``cv`` and each array in
+    ``bins`` are indexed by invocation from the application's first.
+    """
+    qs_fraction = np.array([q for q, _ in bins], dtype=np.float64) / 100.0
+    for k in range(step, times.size):
+        if k > 0:
+            histogram.observe(float(times[k] - times[k - 1]))
+        cv[k] = histogram.bin_count_cv
+        in_bounds = histogram.in_bounds_count
+        if in_bounds:
+            # The scalar percentile() bin search, batched over every
+            # distinct percentile of this range.
+            cumulative = np.cumsum(histogram.counts)
+            targets = np.maximum(qs_fraction * in_bounds, 1e-12)
+            indices = np.minimum(
+                np.searchsorted(cumulative, targets, side="left"),
+                histogram.num_bins - 1,
+            )
+            for (_, recorded), index in zip(bins, indices):
+                recorded[k] = index
 
 
 class _ArimaForecastMemo:
@@ -545,10 +589,11 @@ class _ArimaForecastMemo:
 
     The ARIMA branch is a pure function of the retained idle-time history,
     which depends only on the trace (and the history capacity) — never on
-    the configuration's margins or thresholds.  Each (invocation, history
-    capacity) pair is therefore fitted at most once per sweep, and every
-    configuration that triggers the branch at that invocation reuses the
-    forecast, applying only its own margin arithmetic.
+    the configuration's histogram range, margins or thresholds.  Each
+    (invocation, history capacity) pair is therefore fitted at most once
+    per sweep, and every configuration that triggers the branch at that
+    invocation reuses the forecast, applying only its own margin
+    arithmetic.
     """
 
     def __init__(self, recording: _HybridFamilyRecording) -> None:
@@ -605,54 +650,58 @@ class _ArimaForecastMemo:
             - recording.times[o + start - 1 : o + step]
         )
 
-    def _prediction(self, position: int, max_history: int) -> float:
-        """One position's forecast (cache-filling scalar-shaped lookup)."""
-        key = (position, max_history)
-        cached = self._predictions.get(key)
-        if cached is not None:
-            return cached
-        value = float(forecast_idle_times([self._history(position, max_history)])[0])
-        self._predictions[key] = value
-        return value
-
 
 def _evaluate_hybrid_family(
     factories: Sequence[PolicyFactory],
     items: Sequence[_AppWorkItem],
     simulator: "ColdStartSimulator",
 ) -> dict[str, list[AppSimResult]]:
-    """Evaluate every configuration of one hybrid family from one recording."""
+    """Evaluate every configuration of one hybrid family from one recording.
+
+    Configurations are evaluated range by range: each range's OOB-derived
+    arrays are built once and dropped before the next range's, and every
+    configuration builds its per-invocation windows in one shared set of
+    scratch rows instead of fresh temporaries.
+    """
     configs = [factory.family_config for factory in factories]
-    reference = configs[0]
+    bin_width = configs[0].bin_width_minutes
     assert all(
-        config.histogram_range_minutes == reference.histogram_range_minutes
-        and config.bin_width_minutes == reference.bin_width_minutes
-        for config in configs
-    ), "hybrid family members must share the histogram geometry"
-    percentiles = sorted(
-        {config.head_percentile for config in configs}
-        | {config.tail_percentile for config in configs}
-    )
-    recording = _record_hybrid_family(
-        items,
-        simulator,
-        reference.histogram_range_minutes,
-        reference.bin_width_minutes,
-        percentiles,
-    )
+        config.bin_width_minutes == bin_width for config in configs
+    ), "hybrid family members must share the bin width"
+    percentiles: dict[float, set[float]] = {}
+    for config in configs:
+        percentiles.setdefault(config.histogram_range_minutes, set()).update(
+            (config.head_percentile, config.tail_percentile)
+        )
+    recording = _record_hybrid_family(items, simulator, bin_width, percentiles)
     memo = _ArimaForecastMemo(recording)
-    return {
-        factory.name: _evaluate_hybrid_config(recording, config, memo, items, simulator)
-        for factory, config in zip(factories, configs)
-    }
+    scratch = np.empty((4, recording.times.size), dtype=np.float64)
+    # The policy's OOB fraction is oob / max(total, 1), or 0.0 with no
+    # observations; with none, oob is 0 too, so the ratio alone is exact.
+    denominator = np.maximum(recording.total, 1)
+    results: dict[str, list[AppSimResult]] = {}
+    for range_minutes in sorted(percentiles):
+        oob = recording.oob[range_minutes]
+        in_bounds = recording.total - oob
+        oob_fraction = oob / denominator
+        for factory, config in zip(factories, configs):
+            if config.histogram_range_minutes == range_minutes:
+                results[factory.name] = _evaluate_hybrid_config(
+                    recording, config, in_bounds, oob_fraction,
+                    memo, items, simulator, scratch,
+                )
+    return {factory.name: results[factory.name] for factory in factories}
 
 
 def _evaluate_hybrid_config(
     recording: _HybridFamilyRecording,
     config,
+    in_bounds: np.ndarray,
+    oob_fraction: np.ndarray,
     memo: _ArimaForecastMemo,
     items: Sequence[_AppWorkItem],
     simulator: "ColdStartSimulator",
+    scratch: np.ndarray,
 ) -> list[AppSimResult]:
     """One configuration's decisions, cold starts, and waste from recordings.
 
@@ -661,20 +710,20 @@ def _evaluate_hybrid_config(
     no-pre-warming transform) and the banked stepping loop's cold/waste
     terms, evaluated flat over all invocations at once instead of one
     lockstep step at a time.  Decisions never depend on cold/warm
-    outcomes, so the flat evaluation is exact.
+    outcomes, so the flat evaluation is exact.  ``in_bounds`` and
+    ``oob_fraction`` belong to the configuration's range; ``scratch``
+    holds four float rows as long as the recording, overwritten here.
     """
+    range_minutes = config.histogram_range_minutes
     total = recording.total
-    oob = recording.oob
-    in_bounds = total - oob
     if config.enable_arima:
-        oob_fraction = np.where(total > 0, oob / np.maximum(total, 1), 0.0)
         mask_arima = (total >= config.oob_min_observations) & (
             oob_fraction > config.oob_fraction_threshold
         )
     else:
         mask_arima = None
     mask_histogram = (in_bounds >= config.min_observations) & (
-        recording.cv >= config.cv_threshold
+        recording.cv[range_minutes] >= config.cv_threshold
     )
     if mask_arima is not None:
         mask_histogram &= ~mask_arima
@@ -682,17 +731,24 @@ def _evaluate_hybrid_config(
     else:
         mask_standard = ~mask_histogram
 
+    # Histogram-mode windows, in place: head (rounded down) and tail
+    # (rounded up, ``float(bin) + 1.0`` is exactly ``bin + 1``) cutoffs,
+    # their margins, then the standard keep-alive outside histogram mode.
+    prewarm, keepalive, load_start, terms = scratch
     bin_width = recording.bin_width_minutes
-    head = recording.bins[config.head_percentile] * bin_width
-    tail = (recording.bins[config.tail_percentile] + 1) * bin_width
-    row_prewarm = head * (1.0 - config.prewarm_margin)
-    keepalive_end = tail * (1.0 + config.keepalive_margin)
-    row_prewarm = np.where(row_prewarm < bin_width, 0.0, row_prewarm)
-    row_keepalive = np.maximum(keepalive_end - row_prewarm, bin_width)
-    prewarm = np.where(mask_histogram, row_prewarm, 0.0)
-    keepalive = np.where(
-        mask_histogram, row_keepalive, config.histogram_range_minutes
-    )
+    head_bins = recording.bins[(range_minutes, config.head_percentile)]
+    tail_bins = recording.bins[(range_minutes, config.tail_percentile)]
+    np.multiply(head_bins, bin_width, out=prewarm)
+    prewarm *= 1.0 - config.prewarm_margin
+    np.add(tail_bins, 1.0, out=keepalive)
+    keepalive *= bin_width
+    keepalive *= 1.0 + config.keepalive_margin
+    prewarm[prewarm < bin_width] = 0.0
+    keepalive -= prewarm
+    np.maximum(keepalive, bin_width, out=keepalive)
+    not_histogram = ~mask_histogram
+    prewarm[not_histogram] = 0.0
+    keepalive[not_histogram] = range_minutes
 
     if mask_arima is not None and mask_arima.any():
         positions = np.nonzero(mask_arima)[0]
@@ -708,8 +764,8 @@ def _evaluate_hybrid_config(
         # "Hybrid No PW" (Figure 17): keep the tail-derived keep-alive but
         # never unload right after the execution.
         unloads = prewarm > 0
-        keepalive = np.where(unloads, prewarm + keepalive, keepalive)
-        prewarm = np.where(unloads, 0.0, prewarm)
+        keepalive[unloads] += prewarm[unloads]
+        prewarm[unloads] = 0.0
 
     # Cold/warm outcomes and idle-loaded waste from consecutive decisions,
     # flat: position i's decision governs the gap to position i + 1 of the
@@ -723,67 +779,68 @@ def _evaluate_hybrid_config(
     populated = counts > 0
     first_positions = offsets[populated]
     cold = np.zeros(num_invocations, dtype=bool)
-    terms = np.zeros(num_invocations, dtype=np.float64)
+    load_end = keepalive
     if num_invocations:
-        load_start = times + prewarm
-        load_end = load_start + keepalive
+        np.add(times, prewarm, out=load_start)
+        load_end += load_start
         warm = (load_start[:-1] <= times[1:]) & (times[1:] <= load_end[:-1])
         cold[1:] = ~warm
         cold[first_positions] = simulator.first_invocation_cold
-        effective_end = np.minimum(np.minimum(load_end[:-1], times[1:]), horizon)
-        terms[1:] = np.maximum(effective_end - load_start[:-1], 0.0)
+        # The pre-warming row is spent; it now holds each gap's load end
+        # clipped to the next arrival and the horizon.
+        effective_end = prewarm[:-1]
+        np.minimum(load_end[:-1], times[1:], out=effective_end)
+        np.minimum(effective_end, horizon, out=effective_end)
+        terms[0] = 0.0
+        np.subtract(effective_end, load_start[:-1], out=terms[1:])
+        np.maximum(terms[1:], 0.0, out=terms[1:])
         terms[first_positions] = 0.0
 
-    num_rows = len(items)
+    # Per-application totals.  Rows are sorted longest-first, so the
+    # populated rows are a prefix and every empty application follows.
+    order = recording.order
     populated_rows = int(np.count_nonzero(populated))
+    results: list[AppSimResult | None] = [None] * len(items)
+    for index in order[populated_rows:].tolist():
+        results[index] = AppSimResult(
+            app_id=items[index].app_id,
+            invocations=0,
+            cold_starts=0,
+            wasted_memory_minutes=0.0,
+            memory_mb=items[index].memory_mb,
+            mode_counts=dict(_EMPTY_HYBRID_MODES),
+        )
     if populated_rows:
         starts = offsets[:populated_rows]
-        cold_counts = np.add.reduceat(cold.astype(np.int64), starts)
+        lasts = starts + counts[:populated_rows] - 1
         wasted = np.add.reduceat(terms, starts)
-        histogram_counts = np.add.reduceat(mask_histogram.astype(np.int64), starts)
-        standard_counts = np.add.reduceat(mask_standard.astype(np.int64), starts)
-        if mask_arima is not None:
-            arima_counts = np.add.reduceat(mask_arima.astype(np.int64), starts)
-        else:
-            arima_counts = np.zeros(populated_rows, dtype=np.int64)
-
-    results: list[AppSimResult | None] = [None] * num_rows
-    for row in range(num_rows):
-        item = items[int(recording.order[row])]
-        n = int(counts[row])
-        if n == 0:
-            results[int(recording.order[row])] = AppSimResult(
-                app_id=item.app_id,
-                invocations=0,
-                cold_starts=0,
-                wasted_memory_minutes=0.0,
-                memory_mb=item.memory_mb,
-                mode_counts=dict(_EMPTY_HYBRID_MODES),
-            )
-            continue
-        last = int(offsets[row]) + n - 1
-        wasted_minutes = float(wasted[row])
         if simulator.count_tail_waste:
-            wasted_minutes += simulator.waste_between(
-                float(times[last]),
-                PolicyDecision(
-                    prewarm_minutes=float(prewarm[last]),
-                    keepalive_minutes=float(keepalive[last]),
-                ),
-                horizon,
-            )
-        results[int(recording.order[row])] = AppSimResult(
-            app_id=item.app_id,
-            invocations=n,
-            cold_starts=int(cold_counts[row]),
-            wasted_memory_minutes=wasted_minutes,
-            memory_mb=item.memory_mb,
-            mode_counts={
-                "histogram": int(histogram_counts[row]),
-                "standard": int(standard_counts[row]),
-                "arima": int(arima_counts[row]),
-            },
-            oob_idle_times=int(oob[last]),
+            # The last decision's waste up to the horizon, with the
+            # arithmetic of ColdStartSimulator._waste_between.
+            tail_end = np.minimum(load_end[lasts], horizon)
+            tail_start = load_start[lasts]
+            wasted += np.where(tail_end > tail_start, tail_end - tail_start, 0.0)
+        if mask_arima is None:
+            mask_arima = np.zeros(num_invocations, dtype=bool)
+        columns = zip(
+            order[:populated_rows].tolist(),
+            counts[:populated_rows].tolist(),
+            np.add.reduceat(cold, starts, dtype=np.int64).tolist(),
+            wasted.tolist(),
+            np.add.reduceat(mask_histogram, starts, dtype=np.int64).tolist(),
+            np.add.reduceat(mask_standard, starts, dtype=np.int64).tolist(),
+            np.add.reduceat(mask_arima, starts, dtype=np.int64).tolist(),
+            recording.oob[range_minutes][lasts].tolist(),
         )
+        for index, n, cold_starts, wasted_minutes, histogram, standard, arima, oob_last in columns:
+            results[index] = AppSimResult(
+                app_id=items[index].app_id,
+                invocations=n,
+                cold_starts=cold_starts,
+                wasted_memory_minutes=wasted_minutes,
+                memory_mb=items[index].memory_mb,
+                mode_counts={"histogram": histogram, "standard": standard, "arima": arima},
+                oob_idle_times=oob_last,
+            )
     assert all(result is not None for result in results)
     return results  # type: ignore[return-value]

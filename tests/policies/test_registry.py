@@ -141,11 +141,13 @@ class TestSweepFamilyCapability:
         factory = hybrid_factory(config)
         assert factory.family == "hybrid-histogram"
         assert factory.family_config == config
-        assert factory.sweep_key == ("hybrid-histogram", 120.0, 1.0)
+        # Power-of-two bin width, whole number of bins: keyed by bin width.
+        assert factory.sweep_key == ("hybrid-histogram", 1.0)
 
     def test_parsed_specs_carry_family_metadata(self):
         assert parse_policy_spec("fixed:20").sweep_key == ("constant-keepalive",)
-        assert parse_policy_spec("hybrid:240").sweep_key == ("hybrid-histogram", 240.0, 1.0)
+        assert parse_policy_spec("hybrid:240").sweep_key == ("hybrid-histogram", 1.0)
+        assert parse_policy_spec("hybrid:60.5").sweep_key == ("hybrid-histogram", 60.5, 1.0)
 
     def test_bare_factory_has_no_sweep_key(self):
         bare = PolicyFactory(name="bare", builder=lambda: FixedKeepAlivePolicy(5.0))

@@ -4,8 +4,8 @@ The sweep engine (:mod:`repro.simulation.sweep_engine`) evaluates a whole
 policy family in one pass over the workload — shared per-app gaps for the
 constant-keep-alive grid, one shared histogram pass plus per-config
 decision masks for the hybrid family.  This suite locks down the contract
-that makes that safe: for every figure family (14, 16, 17, 18, and the
-Figure 19 ARIMA comparison) and for mixed shareable/unshareable factory
+that makes that safe: for every figure family (14, 15, 16, 17, 18, and
+the Figure 19 ARIMA comparison) and for mixed shareable/unshareable factory
 lists, the per-application results match independent per-configuration
 runs — cold-start counts exactly, wasted memory within 1e-9, decision-mode
 counters and OOB counts exactly — and the family path composes with the
@@ -85,9 +85,14 @@ class TestFactoryGrouping:
         assert fixed_keepalive_factory(10).sweep_key == (FAMILY_CONSTANT_KEEPALIVE,)
         assert no_unloading_factory().sweep_key == (FAMILY_CONSTANT_KEEPALIVE,)
         hybrid = hybrid_factory()
-        assert hybrid.sweep_key == (FAMILY_HYBRID_HISTOGRAM, 240.0, 1.0)
-        # Different geometry -> different family.
-        assert hybrid_factory(histogram_range_minutes=60.0).sweep_key != hybrid.sweep_key
+        assert hybrid.sweep_key == (FAMILY_HYBRID_HISTOGRAM, 1.0)
+        # Ranges nest exactly at one power-of-two bin width -> one family.
+        assert hybrid_factory(histogram_range_minutes=60.0).sweep_key == hybrid.sweep_key
+        # A different bin width is a different family.
+        assert hybrid_factory(bin_width_minutes=0.5).sweep_key == (
+            FAMILY_HYBRID_HISTOGRAM,
+            0.5,
+        )
         # Knob-only variants share the key (that is the whole point).
         assert hybrid_factory(cv_threshold=7.0).sweep_key == hybrid.sweep_key
         assert hybrid_factory(enable_arima=False).sweep_key == hybrid.sweep_key
@@ -111,6 +116,7 @@ class TestFactoryGrouping:
             no_unloading_factory(),
             hybrid_factory(cv_threshold=5.0).renamed("hybrid-cv5"),
             hybrid_factory(histogram_range_minutes=60.0),
+            hybrid_factory(bin_width_minutes=0.5),
         ]
         groups = group_factories(factories)
         assert [group.key and group.key[0] for group in groups] == [
@@ -126,8 +132,29 @@ class TestFactoryGrouping:
         assert [factory.name for factory in groups[1].factories] == [
             "hybrid-4h",
             "hybrid-cv5",
+            "hybrid-1h",
         ]
-        assert groups[3].factories[0].name == "hybrid-1h"
+        assert groups[3].key == (FAMILY_HYBRID_HISTOGRAM, 0.5)
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"bin_width_minutes": 0.3, "histogram_range_minutes": 60.0},
+            {"histogram_range_minutes": 60.5},
+        ],
+        ids=["bin-width-0.3", "range-60.5"],
+    )
+    def test_inexact_geometry_keeps_its_own_group(self, overrides):
+        """Ranges that are not a bin prefix of a wider histogram stay apart."""
+        odd = hybrid_factory(**overrides)
+        assert odd.sweep_key == (
+            FAMILY_HYBRID_HISTOGRAM,
+            odd.family_config.histogram_range_minutes,
+            odd.family_config.bin_width_minutes,
+        )
+        groups = group_factories([hybrid_factory(), odd, hybrid_factory(cv_threshold=5.0)])
+        assert [len(group.factories) for group in groups] == [2, 1]
+        assert groups[1].factories == (odd,)
 
     def test_grouping_disabled_yields_singletons(self):
         factories = [fixed_keepalive_factory(10), no_unloading_factory()]
@@ -170,6 +197,49 @@ class TestFamilyEquivalence:
         groups = group_factories(factories)
         hybrid = next(g for g in groups if g.key and g.key[0] == FAMILY_HYBRID_HISTOGRAM)
         assert len(hybrid.factories) == len(FIGURE_16_CUTOFFS)
+
+    def test_fig15_range_family(self, streams_workload):
+        """All four histogram ranges share one recording pass, exactly."""
+        factories = figure_factories("fig15")
+        groups = group_factories(factories)
+        hybrid = next(g for g in groups if g.key and g.key[0] == FAMILY_HYBRID_HISTOGRAM)
+        assert [factory.name for factory in hybrid.factories] == [
+            "hybrid-1h",
+            "hybrid-2h",
+            "hybrid-3h",
+            "hybrid-4h",
+        ]
+        assert len(groups) == 2
+        reference, family = run_both(streams_workload, factories)
+        assert_results_match(reference, family)
+        # The narrowest range sends the most gaps out of bounds; its ARIMA
+        # branch must fire or the OOB-derived masks go untested.
+        assert reference["hybrid-1h"].mode_usage()["arima"] > 0
+        for options in (
+            {"max_resident_bytes": 64 * 1024},
+            {"execution": "parallel", "workers": 1},
+            {"execution": "parallel", "workers": 2},
+        ):
+            other = WorkloadRunner(
+                streams_workload, RunnerOptions(sweep="family", **options)
+            ).run_policies(factories)
+            assert list(other) == list(family)
+            for name, result in family.items():
+                assert other[name].app_results == result.app_results, (options, name)
+
+    def test_inexact_geometry_families(self, streams_workload):
+        """Per-range families (no nesting) still match per-config runs."""
+        factories = [
+            hybrid_factory(histogram_range_minutes=60.5),
+            hybrid_factory(histogram_range_minutes=60.5, cv_threshold=5.0).renamed("odd-cv5"),
+            hybrid_factory(histogram_range_minutes=60.0, bin_width_minutes=0.3),
+            hybrid_factory(
+                histogram_range_minutes=60.0, bin_width_minutes=0.3, cv_threshold=5.0
+            ).renamed("narrow-cv5"),
+        ]
+        assert len(group_factories(factories)) == 2
+        reference, family = run_both(streams_workload, factories)
+        assert_results_match(reference, family)
 
     def test_fig17_prewarming_family(self, streams_workload):
         factories = figure_factories("fig17")

@@ -355,6 +355,11 @@ class TestCommands:
         assert "hybrid-cv2" in output
         assert "configurations over" in output
 
+    def test_sweep_lists_hybrid_family_ranges(self, capsys):
+        assert main(["sweep", *SMALL, "--policies", "hybrid:60", "hybrid:240"]) == 0
+        output = capsys.readouterr().out
+        assert "family hybrid-histogram (ranges 60, 240 min): hybrid-1h, hybrid-4h" in output
+
     def test_sweep_explicit_policies(self, capsys):
         assert (
             main(["sweep", *SMALL, "--policies", "fixed:5", "fixed:10", "no-unloading"])
