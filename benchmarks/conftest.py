@@ -12,19 +12,18 @@ values.
 
 Execution engines
 -----------------
-Every figure benchmark routes its policy runs through the simulation
-engine selected by two environment variables (see
-:mod:`repro.simulation.engine` for the engine semantics)::
+Every figure benchmark routes its policy runs through the evaluator and
+worker count selected by two environment variables (see
+:mod:`repro.simulation.engine` for the semantics)::
 
-    # Default: the in-process vectorized fast path ("auto").
+    # Default: each policy family's in-process fast pass ("auto").
     PYTHONPATH=src python -m pytest benchmarks -q
 
     # Reference scalar loop (slowest, ground truth):
     REPRO_BENCH_EXECUTION=serial PYTHONPATH=src python -m pytest benchmarks -q
 
     # Sharded across a worker pool:
-    REPRO_BENCH_EXECUTION=parallel REPRO_BENCH_WORKERS=8 \
-        PYTHONPATH=src python -m pytest benchmarks -q
+    REPRO_BENCH_WORKERS=8 PYTHONPATH=src python -m pytest benchmarks -q
 
 The head-to-head engine comparison lives in
 ``benchmarks/test_bench_engine_speedup.py``; it carries the
@@ -100,10 +99,8 @@ def _engine_options_from_env() -> RunnerOptions | None:
     workers = os.environ.get("REPRO_BENCH_WORKERS")
     if not execution and not workers:
         return None
-    # A worker count alone implies the parallel engine — every other engine
-    # ignores the workers field, which would silently defeat the request.
     return RunnerOptions(
-        execution=execution or "parallel",
+        execution=execution or "auto",
         workers=int(workers) if workers else None,
     )
 

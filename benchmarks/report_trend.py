@@ -11,12 +11,14 @@ sessions and machines::
     python benchmarks/report_trend.py scaleout   # keys containing "scaleout"
 
 Beyond printing, the report is a **regression gate**: for every bench
-key, the latest entry's speedup/throughput numbers are compared against
-the previous entry (preferring one recorded on a machine with the same
-``cpu_count``, so a laptop run never trips the CI bar), and any value
-more than 20% below its predecessor flags the key and makes the script
-exit nonzero — which fails the nightly job instead of letting the
-trajectory silently decay.
+key, the latest entry's numbers are compared against the previous entry
+(preferring one recorded on a machine with the same ``cpu_count``, so a
+laptop run never trips the CI bar).  A more-is-better number (a speedup
+or a rate) more than 20% below its predecessor, a less-is-better number
+(seconds, an overhead, a resident-set size) more than 20% above it, or
+a latest entry whose own recorded ``passed`` is false flags the key and
+makes the script exit nonzero — which fails the nightly job instead of
+letting the trajectory silently decay.
 """
 
 from __future__ import annotations
@@ -26,16 +28,44 @@ import sys
 import time
 from collections import defaultdict
 from pathlib import Path
+from typing import NamedTuple
 
 RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_results.json"
 
-#: Fraction a speedup/throughput value may drop below its predecessor
-#: before the key is flagged as a regression.
+#: Fraction a value may move the wrong way from its predecessor (a drop
+#: for more-is-better numbers, a rise for less-is-better ones) before the
+#: key is flagged as a regression.
 REGRESSION_THRESHOLD = 0.20
 
-#: Detail keys holding more-is-better performance numbers: the top-level
-#: ``speedup`` plus any detail whose name marks it as a rate or speedup.
-_PERF_KEY_MARKERS = ("speedup", "per_second")
+#: Name markers of more-is-better numbers: the top-level ``speedup`` plus
+#: any detail naming a speedup or a rate.  Checked first, because a rate
+#: such as ``invocations_per_second`` also carries a less-is-better marker.
+_MORE_IS_BETTER_MARKERS = ("speedup", "per_s")
+
+#: Name markers of less-is-better numbers: durations, overheads and
+#: resident-set sizes.
+_LESS_IS_BETTER_MARKERS = ("_s", "seconds", "overhead", "rss")
+
+
+class Regression(NamedTuple):
+    """One flagged bench key: a number that moved the wrong way, or a bar
+    the latest entry recorded as missed (``key == "passed"``, no values)."""
+
+    name: str
+    key: str
+    baseline: float | None = None
+    value: float | None = None
+
+    def describe(self) -> str:
+        if self.baseline is None or self.value is None:
+            return f"REGRESSION {self.name}: the latest entry recorded passed=false"
+        change = 100.0 * abs(self.value / self.baseline - 1)
+        direction = "rise" if self.value > self.baseline else "drop"
+        return (
+            f"REGRESSION {self.name}: {self.key} {self.baseline:g} -> "
+            f"{self.value:g} ({change:.0f}% {direction}, threshold "
+            f"{REGRESSION_THRESHOLD:.0%})"
+        )
 
 
 def load_entries(path: Path = RESULTS_PATH) -> list[dict]:
@@ -66,19 +96,36 @@ def format_entry(entry: dict) -> str:
     return "  ".join(parts)
 
 
+def higher_is_better(key: str) -> bool | None:
+    """Whether a number named ``key`` improves upward, downward, or is not
+    a performance number at all (``None``: counts, shapes, settings)."""
+    if any(marker in key for marker in _MORE_IS_BETTER_MARKERS):
+        return True
+    if any(marker in key for marker in _LESS_IS_BETTER_MARKERS):
+        return False
+    return None
+
+
 def perf_values(entry: dict) -> dict[str, float]:
-    """The entry's more-is-better numbers, keyed for cross-run comparison."""
+    """The entry's performance numbers, keyed for cross-run comparison."""
     values: dict[str, float] = {}
-    if isinstance(entry.get("speedup"), (int, float)):
-        values["speedup"] = float(entry["speedup"])
-    details = entry.get("details")
-    if isinstance(details, dict):
-        for key, value in details.items():
-            if isinstance(value, (int, float)) and any(
-                marker in key for marker in _PERF_KEY_MARKERS
-            ):
-                values[key] = float(value)
+    numbers = dict(entry.get("details") or {})
+    numbers["speedup"] = entry.get("speedup")
+    for key, value in numbers.items():
+        if (
+            isinstance(value, (int, float))
+            and not isinstance(value, bool)
+            and higher_is_better(key) is not None
+        ):
+            values[key] = float(value)
     return values
+
+
+def _recorded_failure(entry: dict) -> bool:
+    """Whether the entry recorded that it missed its own bar."""
+    details = entry.get("details")
+    passed = entry.get("passed", details.get("passed") if isinstance(details, dict) else None)
+    return passed is False
 
 
 def _cpu_count(entry: dict) -> object:
@@ -88,26 +135,36 @@ def _cpu_count(entry: dict) -> object:
 
 def find_regressions(
     by_name: dict[str, list[dict]], threshold: float = REGRESSION_THRESHOLD
-) -> list[tuple[str, str, float, float]]:
-    """Latest-vs-previous drops beyond ``threshold``, per bench key.
+) -> list[Regression]:
+    """Latest-vs-previous moves beyond ``threshold``, per bench key.
 
-    The comparison baseline is the most recent *earlier* entry, preferring
-    one recorded with the same ``cpu_count`` as the latest (cross-machine
-    comparisons of parallel speedups are meaningless).
+    More-is-better numbers are flagged on a drop, less-is-better numbers
+    on a rise.  The comparison baseline is the most recent *earlier*
+    entry, preferring one recorded with the same ``cpu_count`` as the
+    latest (cross-machine comparisons of parallel speedups are
+    meaningless).  A latest entry that recorded ``passed: false`` is
+    flagged whatever its history.
     """
-    flagged: list[tuple[str, str, float, float]] = []
+    flagged: list[Regression] = []
     for name, entries in by_name.items():
-        if len(entries) < 2:
-            continue
         latest = entries[-1]
+        if _recorded_failure(latest):
+            flagged.append(Regression(name, "passed"))
         earlier = entries[:-1]
+        if not earlier:
+            continue
         same_cpu = [e for e in earlier if _cpu_count(e) == _cpu_count(latest)]
-        previous = (same_cpu or earlier)[-1]
-        previous_values = perf_values(previous)
+        previous_values = perf_values((same_cpu or earlier)[-1])
         for key, value in perf_values(latest).items():
             baseline = previous_values.get(key)
-            if baseline is not None and baseline > 0 and value < (1 - threshold) * baseline:
-                flagged.append((name, key, baseline, value))
+            if baseline is None or baseline <= 0:
+                continue
+            if higher_is_better(key):
+                worse = value < (1 - threshold) * baseline
+            else:
+                worse = value > (1 + threshold) * baseline
+            if worse:
+                flagged.append(Regression(name, key, baseline, value))
     return flagged
 
 
@@ -132,12 +189,8 @@ def main(argv: list[str]) -> int:
     regressions = find_regressions(by_name)
     if regressions:
         print()
-        for name, key, baseline, value in regressions:
-            drop = 100.0 * (1 - value / baseline)
-            print(
-                f"REGRESSION {name}: {key} {baseline:g} -> {value:g} "
-                f"({drop:.0f}% drop, threshold {REGRESSION_THRESHOLD:.0%})"
-            )
+        for regression in regressions:
+            print(regression.describe())
         return 3
     return 0
 

@@ -2,11 +2,12 @@
 
 Benchmarks one fixed keep-alive policy run and one hybrid histogram
 policy run over the session workload (150 apps, 3 days — the same
-workload every figure benchmark uses) under the execution engines of
+workload every figure benchmark uses) under the execution modes of
 :mod:`repro.simulation.engine`, and asserts the speed claims: the
-vectorized fixed-policy fast path is at least 10x faster than the
-reference serial loop, and the banked struct-of-arrays hybrid run is at
-least 5x faster than replaying the hybrid policy serially.
+``auto`` closed-form fixed-policy pass is at least 10x faster than the
+reference serial loop, and the ``auto`` hybrid recording pass is at
+least 5x faster than replaying the hybrid policy serially.  It also
+holds banked stepping's batched ARIMA fitter to its per-row loop.
 
 It also benchmarks the **workload pipeline** itself: building the
 invocation representation from per-function timestamp arrays and running
@@ -33,9 +34,9 @@ import numpy as np
 import pytest
 
 from repro.core.config import HybridPolicyConfig
-from repro.core.hybrid import HybridHistogramPolicy
+from repro.policies.bank import HybridPolicyBank
 from repro.policies.registry import PolicyFactory, fixed_keepalive_factory, hybrid_factory
-from repro.simulation.engine import RunnerOptions
+from repro.simulation.engine import RunnerOptions, SimulationEngine
 from repro.simulation.runner import WorkloadRunner
 from repro.trace.arrival import iat_coefficient_of_variation
 from repro.trace.store import InvocationStore
@@ -44,9 +45,8 @@ pytestmark = pytest.mark.slow_bench
 
 ENGINE_OPTIONS = {
     "serial": RunnerOptions(execution="serial"),
-    "vectorized": RunnerOptions(execution="vectorized"),
-    "banked": RunnerOptions(execution="banked"),
-    "parallel": RunnerOptions(execution="parallel"),
+    "auto": RunnerOptions(),
+    "sharded": RunnerOptions(workers=2),
 }
 
 
@@ -62,7 +62,7 @@ def factory() -> PolicyFactory:
 
 @pytest.mark.parametrize("engine", list(ENGINE_OPTIONS))
 def test_bench_fixed_policy_engines(benchmark, workload, factory, engine):
-    """One pytest-benchmark group comparing the three engines head to head."""
+    """One pytest-benchmark group comparing the configurations head to head."""
     runner = WorkloadRunner(workload, ENGINE_OPTIONS[engine])
     benchmark.group = "fixed-10min over session workload"
     result = benchmark.pedantic(
@@ -80,23 +80,25 @@ def _best_of(runs: int, fn) -> float:
     return best
 
 
-def test_vectorized_fast_path_at_least_10x(workload, factory, record_bench):
-    """The PR 1 acceptance-criterion speedup, asserted directly.
+def test_closed_form_at_least_10x(workload, factory, record_bench):
+    """The closed-form fixed-policy speedup, asserted directly.
 
-    Best-of-3 wall-clock per engine; the vectorized closed-form path must
-    beat the serial scalar loop by >= 10x on the benchmark workload.
+    Best-of-3 wall-clock per mode; the ``auto`` closed-form pass must beat
+    the serial scalar loop by >= 10x on the benchmark workload.  The
+    record keeps the key and detail names of the vectorized route it
+    replaced, so the trend history stays comparable.
     """
     serial = WorkloadRunner(workload, ENGINE_OPTIONS["serial"])
-    vectorized = WorkloadRunner(workload, ENGINE_OPTIONS["vectorized"])
+    closed_form = WorkloadRunner(workload, ENGINE_OPTIONS["auto"])
     # Warm both paths (numpy import costs, workload invocation cache).
-    vectorized.run_policy(factory)
+    closed_form.run_policy(factory)
 
     serial_best = _best_of(3, lambda: serial.run_policy(factory))
-    vectorized_best = _best_of(3, lambda: vectorized.run_policy(factory))
+    vectorized_best = _best_of(3, lambda: closed_form.run_policy(factory))
     speedup = serial_best / vectorized_best
     print(
         f"\nserial best {serial_best * 1e3:.1f} ms, "
-        f"vectorized best {vectorized_best * 1e3:.1f} ms, "
+        f"closed form best {vectorized_best * 1e3:.1f} ms, "
         f"speedup {speedup:.1f}x"
     )
     record_bench(
@@ -108,9 +110,9 @@ def test_vectorized_fast_path_at_least_10x(workload, factory, record_bench):
     assert speedup >= 10.0
 
 
-@pytest.mark.parametrize("engine", ["serial", "banked"])
+@pytest.mark.parametrize("engine", ["serial", "auto"])
 def test_bench_hybrid_policy_engines(benchmark, workload, engine):
-    """Head-to-head group: the hybrid policy under serial vs banked."""
+    """Head-to-head group: the hybrid policy under serial vs auto."""
     runner = WorkloadRunner(workload, ENGINE_OPTIONS[engine])
     benchmark.group = "hybrid-4h over session workload"
     result = benchmark.pedantic(
@@ -119,25 +121,27 @@ def test_bench_hybrid_policy_engines(benchmark, workload, engine):
     assert result.num_apps > 0
 
 
-def test_banked_hybrid_at_least_5x(workload, record_bench):
-    """The PR 2 acceptance-criterion speedup, asserted directly.
+def test_hybrid_pass_at_least_5x(workload, record_bench):
+    """The hybrid-pass speedup, asserted directly.
 
-    The banked struct-of-arrays hybrid run (one HybridPolicyBank stepping
-    every application together) must beat the serial per-app scalar
-    replay by >= 5x on the benchmark workload, while the equivalence
-    suite guarantees identical results.
+    The ``auto`` hybrid run (one recording pass stepping every
+    application together, then the configuration's decision masks) must
+    beat the serial per-app scalar replay by >= 5x on the benchmark
+    workload, while the equivalence suite guarantees identical results.
+    The record keeps the key and detail names of the banked route it
+    replaced, so the trend history stays comparable.
     """
     factory = hybrid_factory()
     serial = WorkloadRunner(workload, ENGINE_OPTIONS["serial"])
-    banked = WorkloadRunner(workload, ENGINE_OPTIONS["banked"])
-    banked_result = banked.run_policy(factory)  # warm-up
+    fast = WorkloadRunner(workload, ENGINE_OPTIONS["auto"])
+    fast_result = fast.run_policy(factory)  # warm-up
 
     serial_best = _best_of(2, lambda: serial.run_policy(factory))
-    banked_best = _best_of(3, lambda: banked.run_policy(factory))
+    banked_best = _best_of(3, lambda: fast.run_policy(factory))
     speedup = serial_best / banked_best
     print(
         f"\nserial best {serial_best * 1e3:.1f} ms, "
-        f"banked best {banked_best * 1e3:.1f} ms, "
+        f"auto best {banked_best * 1e3:.1f} ms, "
         f"speedup {speedup:.1f}x"
     )
     record_bench(
@@ -147,12 +151,12 @@ def test_banked_hybrid_at_least_5x(workload, record_bench):
         banked_seconds=banked_best,
     )
     # Sanity: the run actually exercised the hybrid decision modes.
-    assert banked_result.mode_usage().get("histogram", 0) > 0
+    assert fast_result.mode_usage().get("histogram", 0) > 0
     assert speedup >= 5.0
 
 
 # --------------------------------------------------------------------------- #
-# Batched ARIMA: banked hybrid under an ARIMA-heavy (fig 19-style) config
+# Batched ARIMA: banked stepping under an ARIMA-heavy (fig 19-style) config
 # --------------------------------------------------------------------------- #
 WASTE_TOLERANCE = 1e-9
 
@@ -166,46 +170,40 @@ ARIMA_HEAVY_CONFIG = HybridPolicyConfig(
 )
 
 
-def _scalar_arima_hybrid_factory(config: HybridPolicyConfig) -> PolicyFactory:
-    """A hybrid factory whose bank keeps the per-row scalar ARIMA loop.
+def _banked_run(workload, *, batched_arima: bool):
+    """One banked stepping pass of the ARIMA-heavy hybrid policy.
 
-    ``HybridPolicyBank(..., batched_arima=False)`` is the pre-batching
-    banked path — the baseline the tentpole's stacked fitter must beat.
+    ``batched_arima=False`` keeps the bank's per-row scalar ARIMA loop —
+    the baseline the stacked fitter must beat.
     """
-
-    class _ScalarArimaHybrid(HybridHistogramPolicy):
-        def make_bank(self, num_apps: int):
-            from repro.policies.bank import HybridPolicyBank
-
-            return HybridPolicyBank(num_apps, self.config, batched_arima=False)
-
-    return PolicyFactory(
-        name="hybrid-scalar-arima", builder=lambda: _ScalarArimaHybrid(config)
+    engine = SimulationEngine(workload)
+    items = engine.work_items()
+    return engine.simulator.simulate_apps_banked(
+        [item.app_id for item in items],
+        [item.times for item in items],
+        lambda num_apps: HybridPolicyBank(
+            num_apps, ARIMA_HEAVY_CONFIG, batched_arima=batched_arima
+        ),
     )
 
 
 def test_arima_heavy_banked_batched_at_least_3x(workload, record_bench):
-    """The PR 7 acceptance-criterion speedup, asserted directly.
+    """The batched-ARIMA speedup, asserted directly.
 
-    Under the ARIMA-heavy configuration the banked hybrid run with the
-    stacked (batched) ARIMA fitter must beat the same banked run with the
-    per-row scalar fitter by >= 3x, while staying exactly equivalent to
-    the serial per-app reference: identical cold-start counts, wasted
-    memory within 1e-9.
+    Under the ARIMA-heavy configuration banked stepping with the stacked
+    (batched) ARIMA fitter must beat the same stepping with the per-row
+    scalar fitter by >= 3x, while staying exactly equivalent to the
+    serial per-app reference: identical cold-start counts, wasted memory
+    within 1e-9.
     """
-    batched_factory = hybrid_factory(ARIMA_HEAVY_CONFIG)
-    scalar_factory = _scalar_arima_hybrid_factory(ARIMA_HEAVY_CONFIG)
     serial = WorkloadRunner(workload, ENGINE_OPTIONS["serial"])
-    banked = WorkloadRunner(workload, ENGINE_OPTIONS["banked"])
 
     # Correctness before timing: the batched banked run must reproduce
     # the serial per-app reference bit-for-bit on cold starts.
-    batched_result = banked.run_policy(batched_factory)  # also the warm-up
-    serial_result = serial.run_policy(batched_factory)
-    assert len(batched_result.app_results) == len(serial_result.app_results)
-    for reference_app, banked_app in zip(
-        serial_result.app_results, batched_result.app_results
-    ):
+    batched_result = _banked_run(workload, batched_arima=True)  # also the warm-up
+    serial_result = serial.run_policy(hybrid_factory(ARIMA_HEAVY_CONFIG))
+    assert len(batched_result) == len(serial_result.app_results)
+    for reference_app, banked_app in zip(serial_result.app_results, batched_result):
         assert banked_app.app_id == reference_app.app_id
         assert banked_app.cold_starts == reference_app.cold_starts
         assert banked_app.wasted_memory_minutes == pytest.approx(
@@ -214,16 +212,16 @@ def test_arima_heavy_banked_batched_at_least_3x(workload, record_bench):
             rel=WASTE_TOLERANCE,
         )
     # The config must actually be ARIMA-heavy, or the comparison is moot.
-    arima_decisions = batched_result.mode_usage().get("arima", 0)
+    arima_decisions = sum(app.mode_counts["arima"] for app in batched_result)
     assert arima_decisions > 0
     # And the scalar-loop bank is the same policy, differently executed.
-    scalar_result = banked.run_policy(scalar_factory)
-    assert [app.cold_starts for app in scalar_result.app_results] == [
-        app.cold_starts for app in batched_result.app_results
+    scalar_result = _banked_run(workload, batched_arima=False)
+    assert [app.cold_starts for app in scalar_result] == [
+        app.cold_starts for app in batched_result
     ]
 
-    scalar_best = _best_of(2, lambda: banked.run_policy(scalar_factory))
-    batched_best = _best_of(3, lambda: banked.run_policy(batched_factory))
+    scalar_best = _best_of(2, lambda: _banked_run(workload, batched_arima=False))
+    batched_best = _best_of(3, lambda: _banked_run(workload, batched_arima=True))
     speedup = scalar_best / batched_best
     print(
         f"\nARIMA-heavy banked hybrid ({arima_decisions:,} ARIMA decisions): "

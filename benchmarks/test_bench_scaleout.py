@@ -6,8 +6,8 @@ The acceptance bar for the out-of-core pipeline, asserted directly:
   **flat in app count** — the 100k-app run (same aggregate load via
   ``target_rps``) must stay within a small factor of the 25k-app run's
   peak, and under a fixed absolute bound, because chunked generation and
-  the memory-bounded banked pass never hold more than one chunk of the
-  trace (plus one chunk of per-app bank state) resident.
+  the memory-bounded hybrid pass never hold more than one chunk of the
+  trace (plus one chunk of per-app pass state) resident.
 * The streamed archive is bit-identical to ``generate().store.save()``
   at small scale (chunk boundaries never touch the RNG stream).
 * Shared-memory shard results are byte-identical across 1/2/4 workers.
@@ -17,7 +17,7 @@ The acceptance bar for the out-of-core pipeline, asserted directly:
 * A 1M-app / ~100M-invocation fused generate+simulate run completes
   with peak RSS flat in app count (subprocess-measured, against a
   quarter-scale run at the same aggregate load).
-* Measured invocations/sec throughput entries (generation, the banked
+* Measured invocations/sec throughput entries (generation, the hybrid
   pass, parallel generation, and the fused million-app run) are
   appended to ``BENCH_results.json``.
 
@@ -65,7 +65,7 @@ RSS_FLAT_RATIO = 2.5
 RSS_ABSOLUTE_BOUND_MB = 1024.0
 
 #: One scale's whole pipeline, run in a child process: stream-generate to
-#: disk, re-open memory-mapped, run the banked hybrid pass under the
+#: disk, re-open memory-mapped, run the hybrid pass under the
 #: resident-bytes budget, report timings and the child's own peak RSS.
 _CHILD_SCRIPT = """
 import json, resource, sys, time
@@ -90,7 +90,7 @@ store = open_streamed_store(stats.path)
 profile = store.memory_profile()
 start = time.perf_counter()
 result = WorkloadRunner(
-    store, RunnerOptions(execution="banked", max_resident_bytes=budget)
+    store, RunnerOptions(max_resident_bytes=budget)
 ).run_policy(hybrid_factory())
 sim_seconds = time.perf_counter() - start
 
@@ -151,10 +151,10 @@ def test_scaleout_100k_apps_flat_rss(tmp_path, record_bench):
     rss_ratio = large["peak_rss_mb"] / small["peak_rss_mb"]
     print(
         f"\n25k apps: {small['num_invocations']:,} inv, "
-        f"gen {small['gen_seconds']:.1f}s, banked {small['sim_seconds']:.1f}s, "
+        f"gen {small['gen_seconds']:.1f}s, hybrid {small['sim_seconds']:.1f}s, "
         f"peak RSS {small['peak_rss_mb']:.0f} MB"
         f"\n100k apps: {large['num_invocations']:,} inv, "
-        f"gen {large['gen_seconds']:.1f}s, banked {large['sim_seconds']:.1f}s, "
+        f"gen {large['gen_seconds']:.1f}s, hybrid {large['sim_seconds']:.1f}s, "
         f"peak RSS {large['peak_rss_mb']:.0f} MB "
         f"({large['disk_bytes'] / 1e6:.0f} MB on disk, ratio {rss_ratio:.2f}x)"
     )
@@ -165,6 +165,7 @@ def test_scaleout_100k_apps_flat_rss(tmp_path, record_bench):
         gen_invocations_per_second=round(
             large["num_invocations"] / large["gen_seconds"]
         ),
+        # Key kept from the banked route so the trend history stays comparable.
         banked_invocations_per_second=round(
             large["num_invocations"] / large["sim_seconds"]
         ),
@@ -256,7 +257,7 @@ def test_parallel_generation_speedup_and_byte_identity(tmp_path, record_bench):
 
 
 #: One fused generate+simulate pass at full scale, in a child process:
-#: no disk round-trip, parallel v2 generation feeding the banked engine
+#: no disk round-trip, parallel v2 generation feeding the hybrid pass
 #: chunk by chunk, child-measured wall time and peak RSS.
 _FUSED_CHILD_SCRIPT = """
 import json, resource, sys, time
@@ -277,7 +278,7 @@ start = time.perf_counter()
 results = simulate_streamed(
     config,
     [hybrid_factory()],
-    options=RunnerOptions(execution="banked", max_resident_bytes=budget),
+    options=RunnerOptions(max_resident_bytes=budget),
     chunk_apps=16384,
     gen_workers=gen_workers,
 )
@@ -389,11 +390,7 @@ def test_shard_results_identical_across_1_2_4_workers(tmp_path):
         for workers in (1, 2, 4):
             sharded = WorkloadRunner(
                 store,
-                RunnerOptions(
-                    execution="parallel",
-                    workers=workers,
-                    max_resident_bytes=BUDGET_BYTES,
-                ),
+                RunnerOptions(workers=workers, max_resident_bytes=BUDGET_BYTES),
             ).run_policy(factory)
             rows = [
                 (r.app_id, r.invocations, r.cold_starts, r.wasted_memory_minutes)

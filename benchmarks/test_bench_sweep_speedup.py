@@ -5,9 +5,9 @@ keep-alive grid, the no-unloading bound, the six head/tail cutoff
 configurations, and the four CV-threshold configurations — over the
 session workload (150 apps, 3 days), twice:
 
-* **per-config**: one ``execution=auto`` run per configuration (the
-  closed-form fast path for the fixed family, one banked run per hybrid
-  configuration) — today's baseline;
+* **per-config**: ``sweep="per-policy"``, every configuration as a family
+  of one (one closed-form pass per fixed window, one recording pass per
+  hybrid configuration) — the baseline;
 * **family**: the shared-state sweep engine
   (:mod:`repro.simulation.sweep_engine`), which evaluates the fixed grid
   in one closed-form pass over shared gaps and all ten hybrid
@@ -104,7 +104,7 @@ def _best_of(runs: int, fn) -> float:
 def test_sweep_engine_matches_and_is_at_least_3x(workload, factories, record_bench):
     """The PR 4 acceptance criterion, asserted directly."""
     per_config = WorkloadRunner(workload, RunnerOptions(sweep="per-policy"))
-    family = WorkloadRunner(workload, RunnerOptions(sweep="family"))
+    family = WorkloadRunner(workload, RunnerOptions())
 
     family_results = family.run_policies(factories)  # also warms both paths
     reference = per_config.run_policies(factories)
@@ -135,7 +135,7 @@ def test_range_sweep_family_matches_per_config(workload, record_bench):
     """Figures 14+15+16+18: all four histogram ranges in one family pass."""
     factories = combined_figure_factories(RANGE_SWEEP_FIGURES)
     per_config = WorkloadRunner(workload, RunnerOptions(sweep="per-policy"))
-    family = WorkloadRunner(workload, RunnerOptions(sweep="family"))
+    family = WorkloadRunner(workload, RunnerOptions())
     hybrid_groups = [
         group
         for group in family.sweep_groups(factories)
@@ -168,7 +168,7 @@ def test_range_sweep_family_matches_per_config(workload, record_bench):
     )
 
 
-@pytest.mark.parametrize("sweep", ["per-policy", "family"])
+@pytest.mark.parametrize("sweep", ["per-policy", "auto"])
 def test_bench_combined_figure_sweep(benchmark, workload, factories, sweep):
     """Head-to-head pytest-benchmark group: per-config vs family sweep."""
     runner = WorkloadRunner(workload, RunnerOptions(sweep=sweep))

@@ -24,13 +24,13 @@ Every sub-command accepts ``--num-apps``, ``--days``, ``--seed`` and
 ``--max-daily-rate`` to size the synthetic workload; ``--trace-dir`` loads
 an AzurePublicDataset-schema trace from disk instead of generating one.
 ``simulate``, ``sweep``, and ``experiment`` additionally accept
-``--execution serial|vectorized|banked|parallel|auto``, ``--workers N``,
-``--sweep auto|family|per-policy``, and ``--max-resident-mb M`` to pick
-the simulation engine, the multi-policy sweep routing, and the per-pass
+``--execution auto|serial``, ``--workers N``, ``--sweep auto|per-policy``,
+and ``--max-resident-mb M`` to pick the evaluator, the worker processes
+to shard applications over, the multi-policy grouping, and the per-pass
 memory budget (see :mod:`repro.simulation.engine` and
 :mod:`repro.simulation.sweep_engine`); ``auto`` evaluates whole policy
-families in one shared-state pass and routes banked-capable policies
-through one struct-of-arrays policy bank instead of per-app instances.
+families in one shared-state pass, and a single policy as a family of
+one.
 ``trace gen`` streams a synthetic trace of any size straight to an
 ``.npz`` store (bit-identical to the in-memory generator) that re-opens
 memory-mapped for out-of-core simulation.
@@ -112,27 +112,27 @@ def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
         choices=EXECUTION_MODES,
         default="auto",
         help=(
-            "simulation engine: serial scalar loop, vectorized fixed-policy "
-            "fast path, banked struct-of-arrays stepping for stateful "
-            "policies, parallel sharded over a worker pool, or auto "
-            "(fastest supported route per policy)"
+            "evaluator: auto (each policy family's fast pass: closed form "
+            "for fixed keep-alive, one recording pass for the hybrid "
+            "policy) or serial (the reference scalar loop)"
         ),
     )
     parser.add_argument(
         "--workers",
         type=int,
         default=None,
-        help="worker-pool size for --execution parallel (default: all cores)",
+        help=(
+            "worker processes; above 1, applications are sharded across a "
+            "fork pool under either --execution mode (default: in process)"
+        ),
     )
     parser.add_argument(
         "--sweep",
         choices=SWEEP_MODES,
         default="auto",
         help=(
-            "multi-policy sweep routing: auto (share state across policy-"
-            "family configurations under auto/parallel execution), family "
-            "(force the shared-state pass), or per-policy (one run per "
-            "configuration)"
+            "multi-policy grouping: auto (one shared-state pass per policy "
+            "family) or per-policy (every configuration as a family of one)"
         ),
     )
     parser.add_argument(
@@ -140,9 +140,9 @@ def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
         type=float,
         default=None,
         help=(
-            "memory budget (MB of invocation columns) per engine pass: "
-            "walk the store in chunks that fit the budget and release "
-            "memory-mapped pages between chunks (out-of-core traces)"
+            "memory budget (MB) per engine pass: walk the store in chunks "
+            "whose pass state fits the budget and release memory-mapped "
+            "pages between chunks (out-of-core traces)"
         ),
     )
 

@@ -67,8 +67,8 @@ class HybridHistogramPolicy(KeepAlivePolicy):
             CV threshold of 2, 15% ARIMA margin).
     """
 
-    #: The banked execution route may replace per-application instances of
-    #: this policy with one HybridPolicyBank (repro.policies.bank).
+    #: Banked stepping may replace per-application instances of this
+    #: policy with one HybridPolicyBank (repro.policies.bank).
     supports_banked = True
 
     def __init__(self, config: HybridPolicyConfig | None = None) -> None:

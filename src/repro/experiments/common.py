@@ -51,10 +51,10 @@ class ExperimentContext:
     Attributes:
         scale: Sizing of the synthetic workload.
         runner_options: Simulation-engine options forwarded to every sweep
-            a driver runs (``execution=serial|vectorized|banked|parallel|auto``
-            plus the worker count); ``None`` uses the engine defaults
-            (``auto``: banked for the hybrid policy, closed-form for the
-            fixed family).
+            a driver runs (``execution=auto|serial`` plus the worker
+            count); ``None`` uses the engine defaults (``auto``: each
+            policy family's fast pass, closed form for the fixed family
+            and one recording pass for the hybrid policy, in process).
     """
 
     scale: ExperimentScale = field(default_factory=ExperimentScale)

@@ -6,17 +6,18 @@ per-application cold-start percentages, 3rd-quartile cold-start vs
 normalized wasted memory trade-offs, and always-cold application shares.
 
 Drivers forward ``context.runner_options`` to their sweeps, so the CLI's
-``--execution``/``--workers``/``--sweep`` flags pick the simulation
-engine (serial, vectorized, banked, or parallel sharded) and the sweep
-routing for every figure.  Under the default ``auto`` routing each
-figure's policy family is evaluated in one shared-state pass by the
-sweep engine (:mod:`repro.simulation.sweep_engine`): the whole fixed
-keep-alive grid of Figure 14 in one closed-form scan, and the hybrid
-configurations behind Figures 16–19 from one shared histogram-update
-pass with per-configuration decision masks (ARIMA forecasts fitted once
-per application and reused across configurations).  ``--execution
-serial`` (or ``--sweep per-policy``) restores one reference run per
-configuration.
+``--execution``/``--workers``/``--sweep`` flags pick the evaluator
+(``auto`` or the ``serial`` reference), the worker processes to shard
+over, and the sweep grouping for every figure.  Under the default
+``auto`` grouping each figure's policy family is evaluated in one
+shared-state pass by the sweep engine
+(:mod:`repro.simulation.sweep_engine`): the whole fixed keep-alive grid
+of Figure 14 in one closed-form scan, and the hybrid configurations
+behind Figures 15–19 from one shared histogram-update pass with
+per-configuration decision masks (ARIMA forecasts fitted once per
+application and reused across configurations).  ``--sweep per-policy``
+evaluates every configuration as a family of one, and ``--execution
+serial`` replays each through the scalar reference loop.
 """
 
 from __future__ import annotations

@@ -5,8 +5,8 @@ application; replaying a large workload through it costs one Python call
 per invocation.  A :class:`PolicyBank` holds the state of *all*
 applications of a workload at once and processes one invocation of many
 applications per call, with numpy array operations doing the per-app
-work.  This is the array-oriented policy protocol behind the ``banked``
-execution engine (:mod:`repro.simulation.engine`).
+work.  This is the array-oriented policy protocol behind
+:meth:`~repro.simulation.coldstart.ColdStartSimulator.simulate_apps_banked`.
 
 Stepping protocol
 -----------------

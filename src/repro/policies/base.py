@@ -29,32 +29,13 @@ class KeepAlivePolicy(abc.ABC):
     #: Human-readable policy name used in reports and experiment labels.
     name: str = "policy"
 
-    #: Capability flag for the vectorized simulation fast path
-    #: (:mod:`repro.simulation.engine`).  A policy may set this to True only
-    #: when every decision it ever returns is the constant
-    #: ``(prewarm=0, keep-alive=constant_keepalive_minutes())`` pair,
-    #: independent of the invocation history; the engine then computes cold
-    #: starts and wasted memory in closed form instead of replaying
-    #: invocations one at a time.
-    supports_vectorized: ClassVar[bool] = False
-
-    #: Capability flag for the banked (struct-of-arrays) execution route
-    #: (:mod:`repro.simulation.engine`).  A policy may set this to True
-    #: only when :meth:`make_bank` returns a
+    #: Capability flag for banked (struct-of-arrays) stepping
+    #: (:meth:`~repro.simulation.coldstart.ColdStartSimulator.simulate_apps_banked`).
+    #: A policy may set this to True only when :meth:`make_bank` returns a
     #: :class:`~repro.policies.bank.PolicyBank` whose rows make exactly the
     #: decisions a fresh per-application instance of this policy would
     #: make for the same invocation stream.
     supports_banked: ClassVar[bool] = False
-
-    def constant_keepalive_minutes(self) -> float:
-        """Constant keep-alive window backing the vectorized fast path.
-
-        Only meaningful when :attr:`supports_vectorized` is True;
-        ``math.inf`` models a no-unloading policy.
-        """
-        raise NotImplementedError(
-            f"{type(self).__name__} does not support vectorized simulation"
-        )
 
     def make_bank(self, num_apps: int) -> "PolicyBank":
         """Build a policy bank equivalent to ``num_apps`` fresh instances.

@@ -24,10 +24,6 @@ class FixedKeepAlivePolicy(KeepAlivePolicy):
             baseline for wasted memory time.
     """
 
-    #: Decisions are the constant (0, keepalive) pair: the simulation engine
-    #: may compute outcomes in closed form (repro.simulation.engine).
-    supports_vectorized = True
-
     def __init__(self, keepalive_minutes: float = 10.0) -> None:
         if keepalive_minutes < 0:
             raise ValueError("keep-alive window must be non-negative")
@@ -44,9 +40,6 @@ class FixedKeepAlivePolicy(KeepAlivePolicy):
     def on_invocation(self, now_minutes: float, *, cold: bool) -> PolicyDecision:
         del now_minutes, cold  # the fixed policy is oblivious to both
         return self._decision
-
-    def constant_keepalive_minutes(self) -> float:
-        return self.keepalive_minutes
 
     def describe(self) -> dict[str, object]:
         return {"name": self.name, "keepalive_minutes": self.keepalive_minutes}

@@ -8,8 +8,6 @@ simulation, which is prohibitively expensive for a provider.
 
 from __future__ import annotations
 
-import math
-
 from repro.core.windows import PolicyDecision
 from repro.policies.base import KeepAlivePolicy
 
@@ -19,19 +17,12 @@ class NoUnloadingPolicy(KeepAlivePolicy):
 
     name = "no-unloading"
 
-    #: Decisions are the constant (0, inf) pair: the simulation engine may
-    #: compute outcomes in closed form (repro.simulation.engine).
-    supports_vectorized = True
-
     def __init__(self) -> None:
         self._decision = PolicyDecision.no_unloading()
 
     def on_invocation(self, now_minutes: float, *, cold: bool) -> PolicyDecision:
         del now_minutes, cold
         return self._decision
-
-    def constant_keepalive_minutes(self) -> float:
-        return math.inf
 
     def describe(self) -> dict[str, object]:
         return {"name": self.name, "keepalive_minutes": float("inf")}

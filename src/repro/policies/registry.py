@@ -4,7 +4,7 @@ The simulator creates one policy instance per application.  A
 :class:`PolicyFactory` captures "which policy, with which parameters" and
 produces fresh instances on demand; for banked-capable policies it also
 builds the struct-of-arrays :class:`~repro.policies.bank.PolicyBank` that
-replaces per-application instances under the banked execution route
+steps many applications' instances together
 (:attr:`PolicyFactory.supports_banked` / :meth:`PolicyFactory.make_bank`).
 Factories can also be parsed from compact string specs (used by the CLI
 and the experiment drivers), e.g.::
@@ -90,7 +90,7 @@ class PolicyFactory:
 
     @property
     def supports_banked(self) -> bool:
-        """Whether this factory's policies support the banked engine route.
+        """Whether this factory's policies support banked stepping.
 
         True when one struct-of-arrays
         :class:`~repro.policies.bank.PolicyBank` (see :meth:`make_bank`)

@@ -1,44 +1,38 @@
 """Trace-driven cold-start simulation (Section 5.1 methodology).
 
-Execution engines
------------------
-Policy runs over a workload are routed through one of three engines,
-selected by the ``execution`` field of :class:`RunnerOptions` (see
+Execution
+---------
+Every policy run goes through the shared-state sweep engine
+(:mod:`repro.simulation.sweep_engine`): policy families declared via
+:attr:`~repro.policies.registry.PolicyFactory.sweep_key` (the whole
+fixed keep-alive grid; hybrid configurations sharing one histogram
+geometry) are evaluated in a single pass over the workload, with
+per-configuration knobs applied as decision masks over the shared
+trace-derived state, and a single-policy run is a family of one.  The
+``execution`` field of :class:`RunnerOptions` picks the evaluator (see
 :mod:`repro.simulation.engine`):
 
+* ``auto`` (default) — each family's fast evaluator: closed form for the
+  fixed keep-alive family and no-unloading, one recording pass plus
+  decision masks for the hybrid policy, and the scalar loop for
+  factories that declare no family.
 * ``serial`` — the reference scalar loop: one
   :meth:`ColdStartSimulator.simulate_app` call per application, one
   ``policy.on_invocation`` call per invocation.  Slowest, and the ground
-  truth the other engines are tested against.
-* ``vectorized`` — for policies with
-  ``supports_vectorized = True`` (the fixed keep-alive family and
-  no-unloading), cold starts and wasted-memory minutes are computed in
-  closed form from numpy array arithmetic on the invocation timestamps
-  (:func:`simulate_constant_decision_app`), with no per-invocation Python
-  calls; other policies fall back to the scalar loop per application.
-* ``parallel`` — applications are sharded across a ``multiprocessing``
-  pool (``workers`` option, default: all cores) and the per-shard results
-  are reassembled in workload order, so output is deterministic and
-  independent of the worker count.  Each shard uses the vectorized fast
-  path where the policy supports it.
-* ``auto`` (default) — ``vectorized``, in-process.
+  truth the fast evaluators are tested against.
 
-Multi-policy runs additionally route through the **shared-state sweep
-engine** (:mod:`repro.simulation.sweep_engine`): policy families
-declared via :attr:`~repro.policies.registry.PolicyFactory.sweep_key`
-(the whole fixed keep-alive grid; hybrid configurations sharing one
-histogram geometry) are evaluated in a single pass over the workload,
-with per-configuration knobs applied as decision masks over the shared
-trace-derived state.  The ``sweep`` field of :class:`RunnerOptions`
-selects the routing.
+``workers`` above 1 shards applications across a ``fork`` pool and
+reassembles the per-shard results in workload order, so output is
+deterministic and independent of the worker count.  The ``sweep`` field
+selects the grouping: ``auto`` shares state within families,
+``per-policy`` evaluates every configuration as a family of one.
 
-``tests/simulation/test_engine_equivalence.py`` locks the engines
-together: all three produce identical cold-start counts and
-wasted-memory minutes (to 1e-9) for every registered policy family, and
-``tests/simulation/test_sweep_equivalence.py`` does the same for the
-sweep engine against independent per-configuration runs.
-:class:`ParallelWorkloadRunner` is a convenience wrapper pinning the
-parallel engine; ``benchmarks/test_bench_engine_speedup.py`` and
+``tests/simulation/test_engine_equivalence.py`` locks the evaluators to
+the serial reference: identical cold-start counts and wasted-memory
+minutes (to 1e-9) for every registered policy family, sharded or not,
+and ``tests/simulation/test_sweep_equivalence.py`` does the same for
+whole families against each configuration run alone.
+``benchmarks/test_bench_engine_speedup.py`` and
 ``benchmarks/test_bench_sweep_speedup.py`` measure the speedups (see
 benchmarks/conftest.py for how to run them).
 """
@@ -53,7 +47,6 @@ from repro.simulation.engine import (
     EXECUTION_MODES,
     SWEEP_MODES,
     SimulationEngine,
-    simulate_constant_decision_app,
 )
 from repro.simulation.metrics import AggregateResult, AppSimResult, merge_results
 from repro.simulation.pareto import (
@@ -66,7 +59,6 @@ from repro.simulation.pareto import (
     trade_off_points,
 )
 from repro.simulation.runner import (
-    ParallelWorkloadRunner,
     PolicyComparison,
     RunnerOptions,
     WorkloadRunner,
@@ -103,7 +95,6 @@ __all__ = [
     "EXECUTION_MODES",
     "SWEEP_MODES",
     "SimulationEngine",
-    "simulate_constant_decision_app",
     "FactoryGroup",
     "SweepEngine",
     "check_unique_policy_names",
@@ -118,7 +109,6 @@ __all__ = [
     "interpolate_memory_at_cold_start",
     "pareto_frontier",
     "trade_off_points",
-    "ParallelWorkloadRunner",
     "PolicyComparison",
     "RunnerOptions",
     "WorkloadRunner",

@@ -1,91 +1,87 @@
-"""Execution engines for the cold-start simulator.
+"""Workload plumbing and the single-policy entry point of the simulator.
 
 The per-application simulations behind Figures 14–18 are embarrassingly
-parallel (policies are per-application and the simulator models no
-cross-application contention), and the fixed-window policies are
-closed-form.  This module exploits both properties:
+parallel: policies are per-application and the simulator models no
+cross-application contention.  :class:`SimulationEngine` owns the
+geometry that exploits this — per-application work items resolved from
+a workload or a bare (typically memory-mapped)
+:class:`~repro.trace.store.InvocationStore`, contiguous application
+chunks that fit ``max_resident_bytes``, and invocation-balanced shards
+for a ``fork`` worker pool — and runs one policy over the workload as a
+**family of one**: :meth:`SimulationEngine.run_policy` hands the factory
+to the sweep engine's driver (:mod:`repro.simulation.sweep_engine`) as a
+one-member group, so a single-policy run and a policy sweep share one
+chunk/shard loop and one set of evaluators.
 
-* :func:`simulate_constant_decision_app` — a **vectorized fast path** for
-  policies whose decision is a constant ``(prewarm=0, keep-alive=K)``
-  pair (the fixed keep-alive family and the no-unloading bound).  Cold
-  starts and wasted memory minutes are computed from ``np.diff``-style
-  array arithmetic on the invocation timestamps in O(n) numpy ops, with
-  no per-invocation Python calls.  Every per-term float operation mirrors
-  :class:`~repro.simulation.coldstart.ColdStartSimulator` bit for bit;
-  only the final summation differs (numpy's pairwise summation instead of
-  sequential accumulation), so results agree with the scalar engine to
-  well within 1e-9.
-* a **banked** route for stateful policies: applications are stepped
-  together through one struct-of-arrays
-  :class:`~repro.policies.bank.PolicyBank` (the hybrid histogram policy's
-  bank evaluates the Figure 10 state machine with boolean masks across
-  all applications at once, see
-  :meth:`~repro.simulation.coldstart.ColdStartSimulator.simulate_apps_banked`).
-* :class:`SimulationEngine` — routes a policy run over a workload through
-  one of four execution modes: ``serial`` (the reference scalar loop),
-  ``vectorized`` (the closed-form fast path where the policy supports it,
-  scalar otherwise), ``banked`` (the grouped-stepping bank where the
-  policy supports it, falling back like ``auto``), and ``parallel``
-  (applications sharded across a ``multiprocessing`` pool; each shard
-  internally uses the fastest in-process route its policy supports, so
-  banks compose with sharding).  ``auto`` picks the fastest in-process
-  route: the closed-form fast path, then the bank, then the scalar loop.
+Two execution modes select the evaluator (:data:`EXECUTION_MODES`):
 
-Policies opt into the closed-form fast path via the
-:attr:`~repro.policies.base.KeepAlivePolicy.supports_vectorized`
-capability flag plus
-:meth:`~repro.policies.base.KeepAlivePolicy.constant_keepalive_minutes`,
-and into the banked route via
-:attr:`~repro.policies.base.KeepAlivePolicy.supports_banked` plus
-:meth:`~repro.policies.base.KeepAlivePolicy.make_bank` (exposed on
-:class:`~repro.policies.registry.PolicyFactory` as well).
+* ``auto`` — the fast evaluator of the factory's policy family: a
+  closed-form pass for constant keep-alive policies (the fixed grid and
+  the no-unloading bound), one recording pass plus decision masks for
+  the hybrid histogram policy, and the scalar loop for factories that
+  declare no family.
+* ``serial`` — the reference scalar loop for every factory: one
+  :meth:`~repro.simulation.coldstart.ColdStartSimulator.simulate_app`
+  call per application, one ``policy.on_invocation`` call per invocation.
 
-The parallel engine shards applications into contiguous chunks, fans the
-chunks out over a ``fork``-based worker pool (policy factories capture
-closures, which cannot be pickled; forked workers inherit them instead),
-and reassembles per-application results in workload order, so the merged
+``workers`` above 1 shards applications across a ``fork`` pool in either
+mode; shards are reassembled in workload order, so the merged
 :class:`~repro.simulation.metrics.AggregateResult` is byte-identical no
-matter how many workers ran or in which order shards completed.  On
-platforms without ``fork`` the shards run in-process, preserving results.
+matter how many workers ran or in which order shards completed.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from repro.core.pool import fork_pool_imap, fork_pool_map  # noqa: F401 - re-export
 from repro.policies.registry import PolicyFactory
 from repro.simulation.coldstart import ColdStartSimulator
-from repro.simulation.metrics import AggregateResult, AppSimResult, merge_results
+from repro.simulation.metrics import AggregateResult, merge_results
 from repro.trace.store import InvocationStore
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (runner imports us)
     from repro.trace.schema import Workload
 
 #: Recognized values of :attr:`RunnerOptions.execution`.
-EXECUTION_MODES: tuple[str, ...] = ("auto", "serial", "vectorized", "banked", "parallel")
+EXECUTION_MODES: tuple[str, ...] = ("auto", "serial")
+
+#: Accepted spellings of :data:`EXECUTION_MODES` members: ``banked`` named
+#: the hybrid policy's fast route before every fast route became a family
+#: pass, and callers that still pass it get ``auto``.
+_EXECUTION_ALIASES = {"banked": "auto"}
 
 #: Recognized values of :attr:`RunnerOptions.sweep` (multi-policy runs):
-#: ``auto`` shares state across policy-family configurations whenever the
-#: execution mode allows it, ``family`` forces the shared-state sweep
-#: engine for every shareable group, ``per-policy`` always evaluates one
-#: policy at a time (the reference used by the equivalence suite).
-SWEEP_MODES: tuple[str, ...] = ("auto", "family", "per-policy")
+#: ``auto`` evaluates each policy family in one shared-state pass,
+#: ``per-policy`` evaluates every configuration as a family of one.
+SWEEP_MODES: tuple[str, ...] = ("auto", "per-policy")
 
 #: Shards per worker: small enough to keep per-shard overhead negligible,
 #: large enough that uneven per-app costs still balance across the pool.
 _SHARDS_PER_WORKER = 4
 
 #: Estimated resident bytes of per-application engine state in one chunk:
-#: the banked hybrid's histogram bins (240 × int64 at the default config)
-#: plus its ARIMA idle-time ring (64 doubles) and counters.  Used by the
+#: the hybrid pass's histogram bins (240 × int64 at the default config)
+#: plus its Welford state, counters and result row.  Used by the
 #: ``max_resident_bytes`` chunk geometry so many-small-app workloads are
 #: bounded by app count too, not only by invocation bytes.
 _PER_APP_RESIDENT_BYTES = 4096
+
+#: Peak bytes a simulation pass holds per invocation of its chunk, charged
+#: by the ``max_resident_bytes`` chunk geometry.  The hybrid family pass
+#: (:mod:`repro.simulation.sweep_engine`) holds the most; for one
+#: configuration, per invocation:
+PASS_BYTES_PER_INVOCATION = (
+    8  # the chunk's timestamps, concatenated longest application first
+    + 8  # the bin-count CV at each decision (float64, one histogram range)
+    + 2 * 2  # the head and tail percentile bins (int16 at 240 bins)
+    + 2 * 4  # the observation and out-of-bounds counters (at most int32)
+    + 3 * 8  # three float64 scratch rows: pre-warm, keep-alive, load start
+    + 8  # boolean decision masks, cold flags and their temporaries
+)
 
 
 @dataclass(frozen=True)
@@ -100,31 +96,25 @@ class RunnerOptions:
         min_invocations: Applications with fewer invocations than this are
             skipped entirely (0 keeps every application, including those
             never invoked, which simply produce empty results).
-        execution: Execution engine: ``"serial"`` (reference scalar loop),
-            ``"vectorized"`` (closed-form numpy fast path for policies that
-            support it, scalar loop otherwise), ``"banked"`` (struct-of-
-            arrays policy bank stepping all applications together, for
-            policies that support it), ``"parallel"`` (shard applications
-            across a worker pool; shards use the fastest in-process route,
-            including banks), or ``"auto"`` (fastest in-process route).
-        workers: Worker-pool size for the parallel engine; ``None`` uses
-            the machine's CPU count.  Ignored by the other engines.
-        sweep: Multi-policy sweep routing (``repro.simulation.sweep_engine``):
-            ``"auto"`` evaluates whole policy families in one shared-state
-            pass when ``execution`` is ``auto`` or ``parallel`` (explicit
-            single-engine requests keep the per-policy routing), ``"family"``
-            forces the shared pass for every shareable group regardless of
-            ``execution``, and ``"per-policy"`` disables sharing entirely.
-            Only affects multi-policy runs (``run_policies`` and the
-            ``sweep_*`` functions); single-policy runs are untouched.
-        max_resident_bytes: Memory budget (bytes of invocation columns)
-            for one engine pass.  ``None`` (the default) iterates the
-            whole workload at once; a budget makes the in-process routes
-            — and each parallel shard — walk the store in contiguous
-            application chunks whose ``times`` columns fit the budget,
-            releasing memory-mapped pages between chunks
+        execution: ``"auto"`` (each policy family's fast evaluator) or
+            ``"serial"`` (the reference scalar loop for every policy);
+            ``"banked"`` is accepted as a spelling of ``"auto"``.
+        workers: Worker processes.  Above 1, applications are sharded
+            across a ``fork`` pool; ``None`` or 1 runs in process.
+        sweep: Multi-policy routing (``repro.simulation.sweep_engine``):
+            ``"auto"`` evaluates each policy family in one shared-state
+            pass, ``"per-policy"`` evaluates every configuration as a
+            family of one.  Only affects multi-policy runs
+            (``run_policies`` and the ``sweep_*`` functions).
+        max_resident_bytes: Memory budget for one engine pass.  ``None``
+            (the default) evaluates the whole workload at once; a budget
+            makes the pass — and each parallel shard — walk the store in
+            contiguous application chunks whose pass state
+            (:data:`PASS_BYTES_PER_INVOCATION` per invocation plus
+            per-application state) fits the budget, releasing
+            memory-mapped pages between chunks
             (:meth:`~repro.trace.store.InvocationStore.release_mapped_pages`),
-            so peak RSS stays near the budget instead of the trace size.
+            so peak memory stays near the budget instead of the trace size.
             Results are unaffected: chunked passes are exactly the
             unchunked passes evaluated range by range.
     """
@@ -137,11 +127,13 @@ class RunnerOptions:
     max_resident_bytes: int | None = None
 
     def __post_init__(self) -> None:
-        if self.execution not in EXECUTION_MODES:
+        execution = _EXECUTION_ALIASES.get(self.execution, self.execution)
+        if execution not in EXECUTION_MODES:
             raise ValueError(
                 f"unknown execution mode {self.execution!r}; "
                 f"expected one of {EXECUTION_MODES}"
             )
+        object.__setattr__(self, "execution", execution)
         if self.workers is not None and self.workers < 1:
             raise ValueError("worker count must be at least 1")
         if self.sweep not in SWEEP_MODES:
@@ -152,95 +144,6 @@ class RunnerOptions:
             raise ValueError("max_resident_bytes must be positive")
 
 
-# --------------------------------------------------------------------------- #
-# Vectorized fast path
-# --------------------------------------------------------------------------- #
-def simulate_constant_decision_app(
-    app_id: str,
-    invocation_times_minutes: Sequence[float] | np.ndarray,
-    keepalive_minutes: float,
-    *,
-    horizon_minutes: float,
-    first_invocation_cold: bool = True,
-    count_tail_waste: bool = True,
-    memory_mb: float = 1.0,
-) -> AppSimResult:
-    """Closed-form simulation of a constant ``(prewarm=0, K)`` policy.
-
-    Equivalent to replaying the sorted timestamps through
-    :class:`~repro.simulation.coldstart.ColdStartSimulator` with a policy
-    that always returns ``PolicyDecision.fixed(keepalive_minutes)``
-    (``math.inf`` models no-unloading): an invocation is warm iff it
-    arrives at or before the previous window's expiry, and the idle loaded
-    time between invocations is the part of the window that elapsed before
-    the next arrival.  All per-interval arithmetic matches the scalar
-    engine's float operations exactly; the terms are summed with numpy's
-    pairwise summation.
-
-    Args:
-        app_id: Application identifier (reporting only).
-        invocation_times_minutes: Sorted invocation timestamps (minutes).
-        keepalive_minutes: Constant keep-alive window; ``math.inf`` for
-            the no-unloading policy.
-        horizon_minutes: End of the simulation window.
-        first_invocation_cold: Whether the first invocation is cold.
-        count_tail_waste: Whether the window left running after the last
-            invocation (clipped to the horizon) counts as waste.
-        memory_mb: Application memory footprint used to weight the waste.
-
-    Raises:
-        ValueError: When a timestamp falls outside ``[0, horizon]`` or the
-            timestamps are unsorted, matching the scalar engine's contract.
-    """
-    times = np.asarray(invocation_times_minutes, dtype=float)
-    n = int(times.size)
-    if n:
-        # Same contract as ColdStartSimulator.simulate_app: reject malformed
-        # traces instead of silently computing plausible-looking numbers.
-        if float(times.min()) < 0 or float(times.max()) > horizon_minutes:
-            raise ValueError("invocation timestamps fall outside the simulation horizon")
-        if np.any(np.diff(times) < 0):
-            raise ValueError("invocation timestamps must be sorted ascending")
-    if n == 0:
-        return AppSimResult(
-            app_id=app_id,
-            invocations=0,
-            cold_starts=0,
-            wasted_memory_minutes=0.0,
-            memory_mb=memory_mb,
-        )
-    starts = times[:-1]
-    arrivals = times[1:]
-    # Window expiry after each invocation; with a zero pre-warming window an
-    # arrival exactly at the expiry instant is still warm (PolicyDecision.covers).
-    window_end = starts + keepalive_minutes
-    cold_starts = int(np.count_nonzero(arrivals > window_end))
-    if first_invocation_cold:
-        cold_starts += 1
-    # Idle loaded time per gap: window elapsed before the next arrival,
-    # clipped to the horizon — identical per-term ops to
-    # ColdStartSimulator._waste_between with load_start == previous_time.
-    effective_end = np.minimum(np.minimum(window_end, arrivals), horizon_minutes)
-    waste_terms = np.maximum(effective_end - starts, 0.0)
-    # np.sum's pairwise summation is at least as accurate as the scalar
-    # engine's sequential accumulation; the per-term values are bit-identical.
-    wasted = float(np.sum(waste_terms))
-    if count_tail_waste:
-        tail_end = min(times[-1] + keepalive_minutes, horizon_minutes)
-        if tail_end > times[-1]:
-            wasted += tail_end - float(times[-1])
-    return AppSimResult(
-        app_id=app_id,
-        invocations=n,
-        cold_starts=cold_starts,
-        wasted_memory_minutes=wasted,
-        memory_mb=memory_mb,
-    )
-
-
-# --------------------------------------------------------------------------- #
-# Engine
-# --------------------------------------------------------------------------- #
 @dataclass(frozen=True)
 class _AppWorkItem:
     """One application's simulation inputs, resolved from the workload."""
@@ -251,13 +154,14 @@ class _AppWorkItem:
 
 
 class SimulationEngine:
-    """Runs one policy over a workload under a chosen execution mode.
+    """Resolves a workload into work items and runs one policy over it.
 
-    The engine is the single routing point used by
-    :class:`~repro.simulation.runner.WorkloadRunner` and the sweeps: it
-    resolves per-application work items once, decides per policy whether
-    the vectorized fast path applies, and either loops in-process or fans
-    shards out over a worker pool.
+    The engine owns the geometry every simulation pass walks: the
+    per-application work items, memory-bounded chunks and parallel shard
+    ranges.  :meth:`run_policy` evaluates one factory as a family of one
+    through the sweep engine's driver
+    (:meth:`~repro.simulation.sweep_engine.SweepEngine.run_group`), the
+    same loop that evaluates whole policy families.
 
     Accepts either a full :class:`~repro.trace.schema.Workload` or a bare
     :class:`~repro.trace.store.InvocationStore` (e.g. one streamed to disk
@@ -283,8 +187,8 @@ class SimulationEngine:
         self._simulator = ColdStartSimulator(
             horizon_minutes=self._store.duration_minutes
         )
-        # Descriptor plumbing for the parallel route: forked workers detect
-        # that they are not this pid and re-open the store from its path.
+        # Descriptor plumbing for sharded runs: forked workers detect that
+        # they are not this pid and re-open the store from its path.
         self._parent_pid = os.getpid()
         self._worker_store: tuple[int, InvocationStore] | None = None
 
@@ -299,12 +203,7 @@ class SimulationEngine:
         return self._store
 
     def work_items(self) -> list[_AppWorkItem]:
-        """Per-application inputs for the whole workload.
-
-        Public entry point used by the sweep engine, which evaluates whole
-        policy families over the same work items this engine runs single
-        policies over.
-        """
+        """Per-application inputs for the whole workload."""
         return self.work_items_range(0, self._store.num_apps)
 
     def work_items_range(
@@ -366,14 +265,14 @@ class SimulationEngine:
         """Contiguous app ranges honouring ``options.max_resident_bytes``.
 
         Splits ``[start_app, stop_app)`` greedily so each range's cost
-        fits the budget, where cost charges 8 bytes per invocation (the
-        ``times`` column a simulation pass touches) plus
-        ``_PER_APP_RESIDENT_BYTES`` per application for the banked
-        policies' per-row state (histogram bins, ARIMA ring, counters).
-        Charging apps as well as invocations keeps peak RSS flat in app
-        count, not just in trace length.  A single application larger
-        than the budget gets its own range rather than failing.  With no
-        budget the whole range comes back as one chunk.
+        fits the budget, where cost charges
+        :data:`PASS_BYTES_PER_INVOCATION` per invocation (the state a
+        simulation pass holds for it) plus ``_PER_APP_RESIDENT_BYTES`` per
+        application for per-row state (histogram bins, Welford state,
+        counters).  Charging apps as well as invocations keeps peak memory
+        flat in app count, not just in trace length.  A single application
+        larger than the budget gets its own range rather than failing.
+        With no budget the whole range comes back as one chunk.
         """
         stop_app = self._store.num_apps if stop_app is None else stop_app
         if stop_app <= start_app:
@@ -381,12 +280,12 @@ class SimulationEngine:
         limit = self.options.max_resident_bytes
         if limit is None:
             return [(start_app, stop_app)]
-        offsets = np.asarray(self._store.app_offsets)
+        offsets = np.asarray(self._store.app_offsets, dtype=np.int64)
         # Strictly increasing cumulative cost; searchsorted finds the
         # farthest stop whose chunk stays within budget.
-        cost = offsets * 8 + np.arange(offsets.size, dtype=np.int64) * (
-            _PER_APP_RESIDENT_BYTES
-        )
+        cost = offsets * PASS_BYTES_PER_INVOCATION + np.arange(
+            offsets.size, dtype=np.int64
+        ) * (_PER_APP_RESIDENT_BYTES)
         bounds: list[tuple[int, int]] = []
         cursor = start_app
         while cursor < stop_app:
@@ -398,7 +297,7 @@ class SimulationEngine:
         return bounds
 
     def shard_ranges(self, workers: int) -> list[tuple[int, int]]:
-        """Contiguous app ranges for the parallel route's shards.
+        """Contiguous app ranges for a sharded run's pool tasks.
 
         Shards are balanced by invocation count (not application count, so
         skewed workloads still spread evenly), oversharded by
@@ -438,7 +337,7 @@ class SimulationEngine:
         """The store handle the calling process should read columns from.
 
         In the engine's own process this is simply the engine's store.  A
-        forked parallel worker whose store came from disk re-opens the
+        forked shard worker whose store came from disk re-opens the
         archive memory-mapped instead: only the ``(path, app range)``
         descriptor travels through fork, the pages come from the shared
         OS page cache, and the worker never touches the parent's columns.
@@ -466,172 +365,17 @@ class SimulationEngine:
         *,
         progress: Callable[[int, int], None] | None = None,
     ) -> AggregateResult:
-        """Simulate one policy (fresh instance per application) over the workload."""
-        execution = self.options.execution
-        # One probe instance answers every capability question.
-        probe = factory.create()
-        vectorize = execution in ("auto", "vectorized", "banked", "parallel")
-        keepalive = (
-            probe.constant_keepalive_minutes()
-            if vectorize and probe.supports_vectorized
-            else None
-        )
-        # The closed-form fast path beats bank stepping when both apply, so
-        # the bank is the fallback tier for stateful policies.
-        use_bank = (
-            keepalive is None
-            and execution in ("auto", "banked", "parallel")
-            and probe.supports_banked
-        )
-        if execution == "parallel":
-            results = self._run_parallel(factory, keepalive, use_bank, progress)
-        else:
-            results = self._run_in_process(factory, keepalive, use_bank, progress)
-        return merge_results(factory.name, results)
+        """Simulate one policy (fresh instance per application) over the workload.
 
-    def _simulate_item(
-        self, item: _AppWorkItem, factory: PolicyFactory, keepalive: float | None
-    ) -> AppSimResult:
-        if keepalive is not None:
-            return simulate_constant_decision_app(
-                item.app_id,
-                item.times,
-                keepalive,
-                horizon_minutes=self._simulator.horizon_minutes,
-                first_invocation_cold=self._simulator.first_invocation_cold,
-                count_tail_waste=self._simulator.count_tail_waste,
-                memory_mb=item.memory_mb,
-            )
-        result = self._simulator.simulate_app(
-            item.app_id, item.times, factory.create(), memory_mb=item.memory_mb
-        )
-        assert isinstance(result, AppSimResult)
-        return result
-
-    # ------------------------------------------------------------------ #
-    def _run_banked(
-        self,
-        factory: PolicyFactory,
-        items: Sequence[_AppWorkItem],
-        progress: Callable[[int, int], None] | None,
-    ) -> list[AppSimResult]:
-        """Banked execution: one policy bank steps all items together."""
-        results = self._simulator.simulate_apps_banked(
-            [item.app_id for item in items],
-            [item.times for item in items],
-            factory.make_bank,
-            memory_mb=[item.memory_mb for item in items],
-        )
-        if progress is not None:
-            progress(len(items), len(items))
-        return results
-
-    # ------------------------------------------------------------------ #
-    def _run_in_process(
-        self,
-        factory: PolicyFactory,
-        keepalive: float | None,
-        use_bank: bool,
-        progress: Callable[[int, int], None] | None,
-    ) -> list[AppSimResult]:
-        """Serial/vectorized/banked execution, memory-bounded when asked.
-
-        With ``max_resident_bytes`` set the workload is walked chunk by
-        chunk (:meth:`app_chunk_bounds`) and the store's mapped pages are
-        released after each chunk; chunk boundaries do not change any
-        per-application result (bank rows are mutually independent), so
-        the concatenated results equal the unchunked pass exactly.
+        The factory runs as a one-member group through the sweep engine's
+        chunk/shard driver, so it takes the evaluator its policy family
+        would take inside a sweep (the scalar loop under
+        ``execution="serial"``).  ``progress`` receives ``(apps done,
+        apps total)`` as chunks or shards complete.
         """
-        bounds = self.app_chunk_bounds()
-        chunked = len(bounds) > 1
-        total = self.eligible_app_count() if progress is not None else 0
-        done = 0
-        results: list[AppSimResult] = []
-        for start, stop in bounds:
-            items = self.work_items_range(start, stop)
-            if use_bank:
-                results.extend(self._run_banked(factory, items, progress=None))
-                done += len(items)
-                if progress is not None:
-                    progress(done, total)
-            else:
-                for item in items:
-                    results.append(self._simulate_item(item, factory, keepalive))
-                    done += 1
-                    if progress is not None:
-                        progress(done, total)
-            if chunked:
-                self._store.release_mapped_pages()
-        return results
+        # Imported here: the sweep engine builds on this module.
+        from repro.simulation.sweep_engine import FactoryGroup, SweepEngine
 
-    # ------------------------------------------------------------------ #
-    def _run_parallel(
-        self,
-        factory: PolicyFactory,
-        keepalive: float | None,
-        use_bank: bool,
-        progress: Callable[[int, int], None] | None,
-    ) -> list[AppSimResult]:
-        """Shard application ranges across a worker pool; deterministic.
-
-        Shards are contiguous application ranges (:meth:`shard_ranges`)
-        reassembled by shard index, so the output is independent of the
-        worker count and of shard completion order: bank rows are
-        mutually independent, so stepping an application in a smaller
-        (per-shard) bank produces exactly the results it gets in one
-        workload-wide bank.  Workers receive only the range — each forked
-        worker re-opens a disk-backed store memory-mapped
-        (:meth:`worker_store`), sharing clean page-cache pages instead of
-        duplicating columns.  Progress aggregates across shards as they
-        complete.
-        """
-        total = self.eligible_app_count()
-        if total == 0:
-            return []
-        workers = self.options.workers
-        if workers is None:
-            workers = os.cpu_count() or 1
-        workers = max(1, min(int(workers), total))
-        ranges = self.shard_ranges(workers)
-
-        done = 0
-
-        def run_shard(shard_id: int) -> list[AppSimResult]:
-            start, stop = ranges[shard_id]
-            return self._run_shard_range(start, stop, factory, keepalive, use_bank)
-
-        def on_result(shard_id: int, results: list[AppSimResult]) -> None:
-            nonlocal done
-            done += len(results)
-            if progress is not None:
-                progress(done, total)
-
-        ordered = fork_pool_map(run_shard, len(ranges), workers, on_result=on_result)
-        return [result for shard in ordered for result in shard]
-
-    def _run_shard_range(
-        self,
-        start_app: int,
-        stop_app: int,
-        factory: PolicyFactory,
-        keepalive: float | None,
-        use_bank: bool = False,
-    ) -> list[AppSimResult]:
-        """One shard task: simulate ``[start_app, stop_app)`` in this process."""
-        store = self.worker_store()
-        items = self.work_items_range(start_app, stop_app, store=store)
-        if use_bank:
-            results = self._run_banked(factory, items, progress=None)
-        else:
-            results = [self._simulate_item(item, factory, keepalive) for item in items]
-        if self.options.max_resident_bytes is not None:
-            store.release_mapped_pages()
-        return results
-
-
-# --------------------------------------------------------------------------- #
-# Shared fork-pool infrastructure now lives in :mod:`repro.core.pool`
-# (the parallel trace generator streams over the same pool); re-exported
-# here because the engine is where every simulation-side caller imports
-# it from.
-# --------------------------------------------------------------------------- #
+        group = FactoryGroup(factory.sweep_key, (factory,))
+        app_results = SweepEngine(self).run_group(group, progress)[factory.name]
+        return merge_results(factory.name, app_results)

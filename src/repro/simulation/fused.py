@@ -47,8 +47,8 @@ def simulate_streamed(
             ``gen_workers > 1``).
         factories: Policy factories, as accepted by
             :meth:`~repro.simulation.runner.WorkloadRunner.run_policies`.
-        options: Engine options applied to every chunk (any execution
-            route: serial, vectorized, banked, parallel, auto).
+        options: Engine options applied to every chunk (either execution
+            mode, any worker count).
         chunk_apps: Applications generated and simulated per chunk — the
             streaming memory high-water mark.
         gen_workers: Parallel generation worker processes.

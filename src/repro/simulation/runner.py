@@ -1,47 +1,39 @@
 """Run keep-alive policies over whole workloads.
 
-The runner couples the execution engines of
-:mod:`repro.simulation.engine` with a
+The runner couples :mod:`repro.simulation.engine` with a
 :class:`~repro.policies.registry.PolicyFactory`: every application gets a
-fresh policy instance (policies are stateful and per-application by
-design) and the per-app results are aggregated into an
-:class:`~repro.simulation.metrics.AggregateResult`.  The
-``execution`` field of :class:`RunnerOptions` selects the engine
-(``serial``, ``vectorized``, ``banked``, ``parallel``, or ``auto``);
-for banked-capable policies (the hybrid histogram policy) the per-app
-instances are replaced by one struct-of-arrays policy bank.
-:class:`ParallelWorkloadRunner` is a convenience wrapper that pins the
-parallel engine and a worker count; its shards use banks internally for
-banked-capable policies.
+fresh policy (policies are stateful and per-application by design) and
+the per-app results are aggregated into an
+:class:`~repro.simulation.metrics.AggregateResult`.  The ``execution``
+field of :class:`RunnerOptions` picks the evaluator (``auto``, each
+policy family's fast pass, or ``serial``, the scalar reference loop) and
+``workers`` above 1 shards applications across a worker pool.
 
-Multi-policy runs (:meth:`WorkloadRunner.run_policies`, and therefore
-every ``sweep_*`` function and experiment driver) route through the
-shared-state sweep engine (:mod:`repro.simulation.sweep_engine`): policy
-families declared via
-:attr:`~repro.policies.registry.PolicyFactory.sweep_key` are evaluated
-in one pass over the workload, with the per-policy engines as the
-fallback for unshareable factories.  The ``sweep`` field of
-:class:`RunnerOptions` controls the routing, and duplicate factory
-names are rejected with a ``ValueError`` instead of silently
-overwriting each other's results.
+Every run — one policy or many — routes through the shared-state sweep
+engine (:mod:`repro.simulation.sweep_engine`): policy families declared
+via :attr:`~repro.policies.registry.PolicyFactory.sweep_key` are
+evaluated in one pass over the workload, and a single policy is a family
+of one.  The ``sweep`` field of :class:`RunnerOptions` controls the
+grouping of multi-policy runs, and duplicate factory names are rejected
+with a ``ValueError`` instead of silently overwriting each other's
+results.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 from repro.policies.registry import PolicyFactory
 from repro.simulation.engine import RunnerOptions, SimulationEngine
 from repro.simulation.metrics import AggregateResult
-from repro.simulation.sweep_engine import SweepEngine, group_factories
+from repro.simulation.sweep_engine import SweepEngine
 from repro.trace.schema import Workload
 from repro.trace.store import InvocationStore
 
 __all__ = [
     "RunnerOptions",
     "WorkloadRunner",
-    "ParallelWorkloadRunner",
     "PolicyComparison",
     "run_policy_over_workload",
 ]
@@ -92,8 +84,8 @@ class WorkloadRunner:
         Routed through the shared-state sweep engine: factories declaring
         a common :attr:`~repro.policies.registry.PolicyFactory.sweep_key`
         are evaluated as one family in a single pass over the workload
-        (subject to ``options.sweep``); everything else runs per policy
-        through :meth:`run_policy`'s engine.
+        (subject to ``options.sweep``); everything else runs as a family
+        of one, exactly like :meth:`run_policy`.
 
         Raises:
             ValueError: When two factories share a name — results are
@@ -110,9 +102,7 @@ class WorkloadRunner:
         shareable families merged, everything else as singletons.  Used by
         the ``repro sweep`` CLI to preview the grouping without running.
         """
-        return group_factories(
-            factories, enabled=self._sweep_engine.family_sharing_enabled()
-        )
+        return self._sweep_engine.groups(factories)
 
     # ------------------------------------------------------------------ #
     def compare(
@@ -137,34 +127,6 @@ class WorkloadRunner:
         if baseline_name not in results:
             raise ValueError(f"baseline policy {baseline_name!r} was not evaluated")
         return PolicyComparison(results=results, baseline_name=baseline_name)
-
-
-class ParallelWorkloadRunner(WorkloadRunner):
-    """A :class:`WorkloadRunner` pinned to the parallel sharded engine.
-
-    Applications are sharded across a ``multiprocessing`` pool; results
-    are reassembled in workload order, so every derived table —
-    including :meth:`PolicyComparison.rows` — is byte-identical to a run
-    with any other worker count (and, for policies without a vectorized
-    fast path, to the serial engine).
-
-    Args:
-        workload: Workload to evaluate.
-        options: Base options; the ``execution`` field is overridden.
-        workers: Worker-pool size; ``None`` uses the machine's CPU count.
-    """
-
-    def __init__(
-        self,
-        workload: Workload | InvocationStore,
-        options: RunnerOptions | None = None,
-        *,
-        workers: int | None = None,
-    ) -> None:
-        base = options or RunnerOptions()
-        if workers is None:
-            workers = base.workers
-        super().__init__(workload, replace(base, execution="parallel", workers=workers))
 
 
 @dataclass
@@ -222,8 +184,8 @@ class PolicyComparison:
         :class:`~repro.core.hybrid.HybridPolicyStats`-style mode counters
         (histogram / standard / ARIMA decision counts) plus the fraction
         of observed idle times that fell beyond the histogram range.
-        Identical for banked and scalar runs of the same policy, so the
-        two execution routes can be compared at a glance.
+        Identical for the hybrid family pass and the serial scalar run of
+        the same policy, so the two can be compared at a glance.
         """
         rows: list[dict[str, float | int | str]] = []
         for name, result in self.results.items():

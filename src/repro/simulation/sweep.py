@@ -6,23 +6,24 @@ the 10-minute fixed keep-alive baseline where the paper does so.  The
 experiment drivers in :mod:`repro.experiments` format these results into
 the paper's tables and series.
 
-Every sweep accepts a :class:`RunnerOptions` whose ``execution`` field
-selects the simulation engine (``serial``/``vectorized``/``banked``/
-``parallel``/``auto``, see :mod:`repro.simulation.engine`); e.g.
-``sweep_fixed_keepalive(workload, options=RunnerOptions(execution="parallel"))``
-shards the fixed-policy family across all cores.
+Every sweep accepts a :class:`RunnerOptions`: ``execution`` picks the
+evaluator (``auto`` or the ``serial`` reference loop, see
+:mod:`repro.simulation.engine`) and ``workers`` the processes to shard
+applications over; e.g.
+``sweep_fixed_keepalive(workload, options=RunnerOptions(workers=4))``
+shards the fixed-policy family across four worker processes.
 
 Every sweep runs through :meth:`WorkloadRunner.run_policies` and
 therefore through the shared-state sweep engine
 (:mod:`repro.simulation.sweep_engine`): under the default ``auto``
-routing, the whole fixed keep-alive grid is evaluated in one closed-form
+grouping, the whole fixed keep-alive grid is evaluated in one closed-form
 pass over shared per-app gaps, and hybrid configurations sharing a bin
 width (all of Figures 15–19: every histogram range nests exactly in the
 widest one) share one histogram-update pass, with per-configuration
 ranges/cutoffs/CV thresholds evaluated as decision masks and ARIMA
 forecasts fitted once per application.  Pass
-``RunnerOptions(sweep="per-policy")`` to restore the one-run-per-
-configuration reference behaviour.
+``RunnerOptions(sweep="per-policy")`` to evaluate every configuration as
+a family of one.
 
 :func:`figure_factories` exposes each figure's default factory list (and
 :func:`combined_figure_factories` their deduplicated union) for the
@@ -118,11 +119,10 @@ def _run(
 ) -> SweepResult:
     """Run factories plus the normalization baseline over the workload.
 
-    Execution (serial / vectorized / parallel) is governed by
-    ``options.execution``; the runner routes every policy through the
-    corresponding engine of :mod:`repro.simulation.engine`, and
-    shareable policy families through the sweep engine
-    (:mod:`repro.simulation.sweep_engine`) per ``options.sweep``.
+    The evaluator (``auto`` / ``serial``) and the worker count come from
+    ``options``; the runner routes shareable policy families through the
+    sweep engine (:mod:`repro.simulation.sweep_engine`) per
+    ``options.sweep``.
     Duplicate factory names raise ``ValueError`` (results are keyed by
     name and would silently overwrite each other).
     """

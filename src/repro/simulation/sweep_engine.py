@@ -6,10 +6,8 @@ sweep's configurations share almost all of their work:
 * every **constant-keep-alive** policy (the fixed grid of Figure 14 plus
   the no-unloading bound) sees the same per-application idle gaps — only
   the window length ``K`` changes.  :func:`_evaluate_constant_family`
-  resolves the flat timestamp columns once and broadcasts the whole
-  keep-alive grid against them, reproducing
-  :func:`~repro.simulation.engine.simulate_constant_decision_app` bit for
-  bit per configuration.
+  resolves the flat timestamp columns once and evaluates every ``K`` in
+  closed form against them.
 * every **hybrid histogram** policy with one bin width shares its
   trace-derived state: histogram contents, the bin-count CV trajectory,
   and the idle-time (ARIMA) forecasts depend only on the trace, never on
@@ -22,7 +20,8 @@ sweep's configurations share almost all of their work:
   geometries keep one family per range).  :func:`_record_hybrid_family`
   therefore steps the workload through one
   :class:`~repro.core.histogram_bank.HistogramBank` at the widest range
-  (the same longest-first lockstep prefix protocol as the banked engine,
+  (the longest-first lockstep prefix protocol of
+  :meth:`~repro.simulation.coldstart.ColdStartSimulator.simulate_apps_banked`,
   with the same scalar drain for the few longest applications), tracking
   every narrower range's Welford state alongside, and records, per
   invocation and per range, the CV and the percentile bin of every
@@ -34,29 +33,30 @@ sweep's configurations share almost all of their work:
   whatever its range (:class:`_ArimaForecastMemo`).
 
 Because the recorded quantities are bit-identical to what each
-configuration's own banked (or scalar) run would have computed — the
-bank-equivalence suite locks the shared machinery down — the sweep
-engine's per-configuration results match independent per-configuration
-runs exactly on cold-start counts and within 1e-9 on wasted memory
-(``tests/simulation/test_sweep_equivalence.py``).
+configuration's own scalar run would have computed — the
+bank-equivalence suite locks the shared machinery down — every
+configuration matches the serial reference exactly on cold-start counts
+and within 1e-9 on wasted memory, and gives the same results alone as
+inside its family (``tests/simulation/test_sweep_equivalence.py``).
 
-:class:`SweepEngine` is the routing layer: it groups a factory list by
-:attr:`~repro.policies.registry.PolicyFactory.sweep_key`, runs each
-shareable family through the matching evaluator (sharding applications
-across a ``fork`` worker pool under ``execution="parallel"``), and falls
-back to :class:`~repro.simulation.engine.SimulationEngine` per policy
-for unshareable factories and singleton groups.
+:class:`SweepEngine` holds the simulator's one chunk/shard driver,
+:meth:`SweepEngine.run_group`.  It evaluates one group of factories — a
+whole family, or a single policy as a family of one
+(:meth:`~repro.simulation.engine.SimulationEngine.run_policy`) — over
+memory-bounded application chunks in process, or over shards on a
+``fork`` worker pool when ``workers`` is above 1.  The group's family
+picks the evaluator; factories without a family, and every factory
+under ``execution="serial"``, take the scalar reference loop
+(:func:`_evaluate_scalar`).
 :meth:`~repro.simulation.runner.WorkloadRunner.run_policies` — and
 therefore every ``sweep_*`` function and experiment driver — routes
-through it; the ``sweep`` field of
-:class:`~repro.simulation.engine.RunnerOptions` selects the behaviour
-(``auto`` / ``family`` / ``per-policy``).
+through :meth:`SweepEngine.run_policies`; the ``sweep`` field of
+:class:`~repro.simulation.engine.RunnerOptions` selects the grouping
+(``auto`` / ``per-policy``).
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import os
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Sequence
 
@@ -136,41 +136,30 @@ def group_factories(
     """Group a factory list into shareable families.
 
     Factories with equal (non-``None``) sweep keys are merged into one
-    group, preserving first-appearance order; unshareable factories become
-    singleton groups in place.  With ``enabled=False`` every factory is a
-    singleton (the per-policy routing).
+    group, placed where the family first appears; unshareable factories
+    become singleton groups in place.  With ``enabled=False`` every
+    factory is a singleton that keeps its own key (a family of one).
     """
-    groups: list[FactoryGroup] = []
-    members: dict[tuple, list[PolicyFactory]] = {}
-    ordered_keys: list[tuple | None] = []
-    singletons: dict[int, PolicyFactory] = {}
+    slots: list[tuple[tuple | None, list[PolicyFactory]]] = []
+    families: dict[tuple, list[PolicyFactory]] = {}
     for factory in factories:
-        key = factory.sweep_key if enabled else None
-        if key is None:
-            ordered_keys.append(None)
-            singletons[len(ordered_keys) - 1] = factory
+        key = factory.sweep_key
+        if enabled and key in families:
+            families[key].append(factory)
             continue
-        if key not in members:
-            members[key] = []
-            ordered_keys.append(key)
-        members[key].append(factory)
-    emitted: set[tuple] = set()
-    for position, key in enumerate(ordered_keys):
-        if key is None:
-            groups.append(FactoryGroup(None, (singletons[position],)))
-        elif key not in emitted:
-            emitted.add(key)
-            groups.append(FactoryGroup(key, tuple(members[key])))
-    return groups
+        members = [factory]
+        if enabled and key is not None:
+            families[key] = members
+        slots.append((key, members))
+    return [FactoryGroup(key, tuple(members)) for key, members in slots]
 
 
 class SweepEngine:
-    """Routes multi-policy runs through shared-state family evaluators.
+    """Evaluates groups of policies over a workload: the one simulation driver.
 
     Args:
-        engine: The single-policy engine whose workload, options, and
-            simulator conventions the sweep shares.  Unshareable factories
-            and singleton groups are delegated straight to it.
+        engine: The engine whose workload, options, simulator conventions
+            and chunk/shard geometry every pass uses.
     """
 
     def __init__(self, engine: SimulationEngine) -> None:
@@ -188,6 +177,8 @@ class SweepEngine:
         """Evaluate several policies, sharing state within policy families.
 
         Returns results keyed by factory name, in input order.
+        ``progress`` receives ``(name, apps, apps)`` as each policy's
+        results complete.
 
         Raises:
             ValueError: When two factories share a name (results would
@@ -196,136 +187,116 @@ class SweepEngine:
         factories = list(factories)
         check_unique_policy_names(factories)
         results: dict[str, AggregateResult] = {}
-        for group in group_factories(factories, enabled=self.family_sharing_enabled()):
-            if group.key is None or len(group.factories) < 2:
-                for factory in group.factories:
-                    per_policy_progress = None
-                    if progress is not None:
-
-                        def per_policy_progress(done, total, name=factory.name):
-                            progress(name, done, total)
-
-                    results[factory.name] = self._engine.run_policy(
-                        factory, progress=per_policy_progress
-                    )
-                continue
-            for name, app_results in self._run_family(group).items():
+        for group in self.groups(factories):
+            for name, app_results in self.run_group(group).items():
                 results[name] = merge_results(name, app_results)
                 if progress is not None:
                     progress(name, len(app_results), len(app_results))
         return {factory.name: results[factory.name] for factory in factories}
 
-    def family_sharing_enabled(self) -> bool:
-        """Whether shareable groups are evaluated through family passes.
+    def groups(self, factories: Sequence[PolicyFactory]) -> list[FactoryGroup]:
+        """The groups :meth:`run_policies` evaluates these factories in.
 
-        ``sweep="auto"`` shares under the ``auto`` and ``parallel``
-        execution modes; an explicit single-engine request (``serial``,
-        ``vectorized``, ``banked``) keeps the per-policy routing so those
-        modes stay exact references.  ``"family"`` / ``"per-policy"``
-        force the decision either way.
+        Families under ``sweep="auto"``; under ``"per-policy"`` every
+        factory is a family of one.
         """
-        if self.options.sweep == "family":
-            return True
-        if self.options.sweep == "per-policy":
-            return False
-        return self.options.execution in ("auto", "parallel")
+        return group_factories(factories, enabled=self.options.sweep == "auto")
 
     # ------------------------------------------------------------------ #
-    def _run_family(self, group: FactoryGroup) -> dict[str, list[AppSimResult]]:
-        """Evaluate one shareable family, sharding when running parallel.
-
-        Honours ``options.max_resident_bytes`` exactly like the
-        single-policy engine: the in-process evaluation walks the store in
-        budgeted application chunks (releasing mapped pages between
-        chunks), and each parallel shard stays within the budget.  Chunk
-        boundaries cannot change results — every recorded quantity is a
-        pure function of one application's own timestamps.
-        """
-        engine = self._engine
-        eligible = engine.eligible_app_count()
-        workers = self._resolve_workers(eligible)
-        if (
-            self.options.execution == "parallel"
-            and workers > 1
-            and eligible > 1
-            and "fork" in multiprocessing.get_all_start_methods()
-        ):
-            return self._run_family_sharded(group, workers)
-        bounds = engine.app_chunk_bounds()
-        if len(bounds) <= 1:
-            return self._evaluate_family_items(group, engine.work_items())
-        merged: dict[str, list[AppSimResult]] = {
-            factory.name: [] for factory in group.factories
-        }
-        for start, stop in bounds:
-            chunk = self._evaluate_family_items(
-                group, engine.work_items_range(start, stop)
-            )
-            for name, app_results in chunk.items():
-                merged[name].extend(app_results)
-            engine.release_mapped_pages()
-        return merged
-
-    def _resolve_workers(self, num_items: int) -> int:
-        workers = self.options.workers
-        if workers is None:
-            workers = os.cpu_count() or 1
-        return max(1, min(int(workers), max(num_items, 1)))
-
-    def _evaluate_family_items(
-        self, group: FactoryGroup, items: Sequence[_AppWorkItem]
-    ) -> dict[str, list[AppSimResult]]:
-        """Evaluate one family over a set of work items, in process."""
-        assert group.key is not None
-        if group.key[0] == FAMILY_CONSTANT_KEEPALIVE:
-            return _evaluate_constant_family(group.factories, items, self._simulator)
-        if group.key[0] == FAMILY_HYBRID_HISTOGRAM:
-            return _evaluate_hybrid_family(group.factories, items, self._simulator)
-        raise ValueError(f"unknown policy family {group.key[0]!r}")  # pragma: no cover
-
-    # ------------------------------------------------------------------ #
-    def _run_family_sharded(
+    def run_group(
         self,
         group: FactoryGroup,
-        workers: int,
+        progress: Callable[[int, int], None] | None = None,
     ) -> dict[str, list[AppSimResult]]:
-        """Shard the family evaluation across a ``fork`` worker pool.
+        """Evaluate one group over the workload, chunked or sharded.
 
-        Applications are independent (each row's recordings and decisions
-        are pure functions of its own timestamps), so evaluating a family
-        over contiguous application ranges and concatenating per-config
-        results in range order reproduces the whole-workload evaluation
-        exactly, independent of the worker count.  Shards follow the
-        engine's parallel geometry (:meth:`SimulationEngine.shard_ranges`):
-        balanced by invocation count, split to ``max_resident_bytes``, and
-        resolved in each forked worker against a re-opened memory-mapped
-        store handle rather than the parent's columns.
+        With ``workers`` above 1 the applications are split into
+        invocation-balanced shard ranges
+        (:meth:`~repro.simulation.engine.SimulationEngine.shard_ranges`)
+        evaluated on a ``fork`` worker pool, each worker resolving its
+        range against a re-opened memory-mapped store handle rather than
+        the parent's columns; otherwise the ranges are the
+        ``max_resident_bytes`` chunks
+        (:meth:`~repro.simulation.engine.SimulationEngine.app_chunk_bounds`),
+        evaluated in process.  Under a budget, mapped pages are released
+        after every range.  Every recorded quantity and decision is a
+        pure function of one application's own timestamps, so
+        concatenating per-range results in range order reproduces the
+        whole-workload evaluation exactly, for any chunking and worker
+        count.  ``progress`` receives ``(apps done, apps total)`` as
+        ranges complete.
         """
         engine = self._engine
-        ranges = engine.shard_ranges(workers)
+        total = engine.eligible_app_count()
+        workers = max(1, min(self.options.workers or 1, total))
+        ranges = engine.shard_ranges(workers) if workers > 1 else engine.app_chunk_bounds()
+        budgeted = self.options.max_resident_bytes is not None
+        done = 0
 
-        def run_shard(shard_id: int) -> dict[str, list[AppSimResult]]:
-            start, stop = ranges[shard_id]
+        def run_range(index: int) -> dict[str, list[AppSimResult]]:
+            start, stop = ranges[index]
             store = engine.worker_store()
-            result = self._evaluate_family_items(
-                group, engine.work_items_range(start, stop, store=store)
-            )
-            if self.options.max_resident_bytes is not None:
+            results = self._evaluate(group, engine.work_items_range(start, stop, store=store))
+            if budgeted:
                 store.release_mapped_pages()
-            return result
+            return results
 
-        # The engine's shared fork pool: the task closure (carrying the
-        # group's factories, which hold unpicklable closures) travels by
-        # fork, and the results come back ordered by shard index.
-        ordered = fork_pool_map(run_shard, len(ranges), workers)
+        def on_result(index: int, results: dict[str, list[AppSimResult]]) -> None:
+            nonlocal done
+            done += len(next(iter(results.values())))
+            if progress is not None:
+                progress(done, total)
+
+        # The task closure carries the group's factories, which hold
+        # unpicklable closures, so it travels to pool workers by fork; one
+        # worker runs the ranges in process.  Results come back in range
+        # order either way.
         merged: dict[str, list[AppSimResult]] = {
             factory.name: [] for factory in group.factories
         }
-        for shard_results in ordered:
-            assert shard_results is not None
-            for name, app_results in shard_results.items():
+        for chunk in fork_pool_map(run_range, len(ranges), workers, on_result=on_result):
+            for name, app_results in chunk.items():
                 merged[name].extend(app_results)
         return merged
+
+    def _evaluate(
+        self, group: FactoryGroup, items: Sequence[_AppWorkItem]
+    ) -> dict[str, list[AppSimResult]]:
+        """Evaluate one group over a set of work items, in this process."""
+        family = group.key[0] if group.key and self.options.execution != "serial" else None
+        if family is None:
+            return _evaluate_scalar(group.factories, items, self._simulator)
+        if family == FAMILY_CONSTANT_KEEPALIVE:
+            return _evaluate_constant_family(group.factories, items, self._simulator)
+        if family == FAMILY_HYBRID_HISTOGRAM:
+            return _evaluate_hybrid_family(group.factories, items, self._simulator)
+        raise ValueError(f"unknown policy family {family!r}")  # pragma: no cover
+
+
+# --------------------------------------------------------------------------- #
+# Scalar reference: one policy instance per application
+# --------------------------------------------------------------------------- #
+def _evaluate_scalar(
+    factories: Sequence[PolicyFactory],
+    items: Sequence[_AppWorkItem],
+    simulator: "ColdStartSimulator",
+) -> dict[str, list[AppSimResult]]:
+    """Replay every application through a fresh instance of each policy.
+
+    The Section 5.1 reference loop
+    (:meth:`~repro.simulation.coldstart.ColdStartSimulator.simulate_app`):
+    what ``execution="serial"`` runs for every factory, and what a
+    factory that declares no policy family runs under ``auto``.
+    """
+    return {
+        factory.name: [
+            simulator.simulate_app(
+                item.app_id, item.times, factory.create(), memory_mb=item.memory_mb
+            )
+            for item in items
+        ]
+        for factory in factories
+    }
 
 
 # --------------------------------------------------------------------------- #
@@ -340,11 +311,14 @@ def _evaluate_constant_family(
 
     The flat timestamp column, its per-invocation start/arrival views, and
     the validation pass are shared by every configuration; each ``K`` then
-    costs a handful of flat array operations.  All per-term arithmetic —
-    including the app-contiguous slices fed to ``np.sum`` — is identical
-    to :func:`~repro.simulation.engine.simulate_constant_decision_app`, so
-    each configuration's results are bit-for-bit what its own vectorized
-    run produces.
+    costs a handful of flat array operations.  Each per-gap term is the
+    scalar simulator's arithmetic for a constant ``(prewarm=0, K)``
+    decision (``K = inf`` models no-unloading): an arrival at or before
+    the window's expiry is warm (``PolicyDecision.covers``), and the idle
+    loaded time is the part of the window elapsed before the next arrival,
+    clipped to the horizon.  Only the summation differs — numpy's
+    pairwise sum over each application's terms instead of sequential
+    accumulation — which stays well within 1e-9 of the scalar totals.
     """
     horizon = simulator.horizon_minutes
     times_list = [simulator.validate_times(item.times) for item in items]
@@ -523,23 +497,21 @@ def _record_hybrid_family(
     # of recording them.  total at decision k is k (one idle time per
     # preceding gap); oob counts the gaps at or beyond each range, with
     # exactly the ``idle < range`` comparison the histogram applies.
-    # OOB counts never exceed an application's invocation count, which
-    # sizes their dtype.
-    total = np.zeros(total_invocations, dtype=np.int64)
-    oob_dtype = np.min_scalar_type(max_count)
-    oob = {r: np.zeros(total_invocations, dtype=oob_dtype) for r in ranges}
-    if total_invocations:
-        total = np.arange(total_invocations, dtype=np.int64) - np.repeat(
-            offsets, counts_sorted
-        )
-        gaps = np.zeros(total_invocations, dtype=np.float64)
-        gaps[1:] = flat[1:] - flat[:-1]
-        populated = counts_sorted > 0
-        gaps[offsets[populated]] = 0.0
-        for r in ranges:
-            cumulative = np.cumsum(gaps >= r)
-            bases = np.repeat(cumulative[offsets[populated]], counts_sorted[populated])
-            oob[r] = (cumulative - bases).astype(oob_dtype)
+    # Counters never exceed an application's invocation count, which
+    # sizes their (signed) dtype.  Rows are sorted longest-first, so the
+    # populated rows are a prefix.
+    starts = offsets[: int(np.count_nonzero(counts_sorted))]
+    counter_dtype = np.min_scalar_type(-max_count)
+    total = np.ones(total_invocations, dtype=counter_dtype)
+    total[starts] = 0
+    _restarting_cumsum(total, starts)
+    gaps = np.zeros(total_invocations, dtype=np.float64)
+    np.subtract(flat[1:], flat[:-1], out=gaps[1:])
+    gaps[starts] = 0.0
+    oob = {}
+    for r in ranges:
+        oob[r] = (gaps >= r).astype(counter_dtype)
+        _restarting_cumsum(oob[r], starts)
     return _HybridFamilyRecording(
         order=order,
         counts=counts_sorted,
@@ -551,6 +523,20 @@ def _record_hybrid_family(
         oob=oob,
         bin_width_minutes=bin_width_minutes,
     )
+
+
+def _restarting_cumsum(values: np.ndarray, starts: np.ndarray) -> None:
+    """Per-application running sums of ``values``, in place.
+
+    Applications occupy consecutive segments of ``values`` beginning at
+    ``starts`` (the first at 0), and each segment's first value must be
+    0.  Seeding every later segment's first slot with minus the previous
+    segment's total makes one cumulative sum restart at zero on every
+    boundary, with no invocation-length array of per-application bases.
+    """
+    if starts.size > 1:
+        values[starts[1:]] = -np.add.reduceat(values[: starts[-1]], starts[:-1])
+    np.cumsum(values, out=values)
 
 
 def _drain_row(
@@ -658,10 +644,10 @@ def _evaluate_hybrid_family(
 ) -> dict[str, list[AppSimResult]]:
     """Evaluate every configuration of one hybrid family from one recording.
 
-    Configurations are evaluated range by range: each range's OOB-derived
-    arrays are built once and dropped before the next range's, and every
-    configuration builds its per-invocation windows in one shared set of
-    scratch rows instead of fresh temporaries.
+    Every configuration stages its per-invocation conditions and windows
+    in one shared set of scratch rows instead of fresh temporaries, so a
+    pass holds about :data:`~repro.simulation.engine.PASS_BYTES_PER_INVOCATION`
+    bytes per invocation whatever the family's size.
     """
     configs = [factory.family_config for factory in factories]
     bin_width = configs[0].bin_width_minutes
@@ -675,29 +661,18 @@ def _evaluate_hybrid_family(
         )
     recording = _record_hybrid_family(items, simulator, bin_width, percentiles)
     memo = _ArimaForecastMemo(recording)
-    scratch = np.empty((4, recording.times.size), dtype=np.float64)
-    # The policy's OOB fraction is oob / max(total, 1), or 0.0 with no
-    # observations; with none, oob is 0 too, so the ratio alone is exact.
-    denominator = np.maximum(recording.total, 1)
-    results: dict[str, list[AppSimResult]] = {}
-    for range_minutes in sorted(percentiles):
-        oob = recording.oob[range_minutes]
-        in_bounds = recording.total - oob
-        oob_fraction = oob / denominator
-        for factory, config in zip(factories, configs):
-            if config.histogram_range_minutes == range_minutes:
-                results[factory.name] = _evaluate_hybrid_config(
-                    recording, config, in_bounds, oob_fraction,
-                    memo, items, simulator, scratch,
-                )
-    return {factory.name: results[factory.name] for factory in factories}
+    scratch = np.empty((3, recording.times.size), dtype=np.float64)
+    return {
+        factory.name: _evaluate_hybrid_config(
+            recording, config, memo, items, simulator, scratch
+        )
+        for factory, config in zip(factories, configs)
+    }
 
 
 def _evaluate_hybrid_config(
     recording: _HybridFamilyRecording,
     config,
-    in_bounds: np.ndarray,
-    oob_fraction: np.ndarray,
     memo: _ArimaForecastMemo,
     items: Sequence[_AppWorkItem],
     simulator: "ColdStartSimulator",
@@ -710,18 +685,26 @@ def _evaluate_hybrid_config(
     no-pre-warming transform) and the banked stepping loop's cold/waste
     terms, evaluated flat over all invocations at once instead of one
     lockstep step at a time.  Decisions never depend on cold/warm
-    outcomes, so the flat evaluation is exact.  ``in_bounds`` and
-    ``oob_fraction`` belong to the configuration's range; ``scratch``
-    holds four float rows as long as the recording, overwritten here.
+    outcomes, so the flat evaluation is exact.  ``scratch`` holds three
+    float rows as long as the recording, overwritten here.
     """
     range_minutes = config.histogram_range_minutes
     total = recording.total
+    oob = recording.oob[range_minutes]
+    prewarm, keepalive, load_start = scratch
+    # The observation-count conditions, staged in scratch rows the windows
+    # overwrite below.  The policy's OOB fraction is oob / max(total, 1),
+    # or 0.0 with no observations; with none, oob is 0 too, so the ratio
+    # alone is exact.
     if config.enable_arima:
+        oob_fraction = np.maximum(total, 1, out=prewarm)
+        np.divide(oob, oob_fraction, out=oob_fraction)
         mask_arima = (total >= config.oob_min_observations) & (
             oob_fraction > config.oob_fraction_threshold
         )
     else:
         mask_arima = None
+    in_bounds = np.subtract(total, oob, out=keepalive)
     mask_histogram = (in_bounds >= config.min_observations) & (
         recording.cv[range_minutes] >= config.cv_threshold
     )
@@ -734,7 +717,6 @@ def _evaluate_hybrid_config(
     # Histogram-mode windows, in place: head (rounded down) and tail
     # (rounded up, ``float(bin) + 1.0`` is exactly ``bin + 1``) cutoffs,
     # their margins, then the standard keep-alive outside histogram mode.
-    prewarm, keepalive, load_start, terms = scratch
     bin_width = recording.bin_width_minutes
     head_bins = recording.bins[(range_minutes, config.head_percentile)]
     tail_bins = recording.bins[(range_minutes, config.tail_percentile)]
@@ -767,39 +749,11 @@ def _evaluate_hybrid_config(
         keepalive[unloads] += prewarm[unloads]
         prewarm[unloads] = 0.0
 
-    # Cold/warm outcomes and idle-loaded waste from consecutive decisions,
-    # flat: position i's decision governs the gap to position i + 1 of the
-    # same application (the entry pairing an application's last invocation
-    # with the next application's first is masked off below).
-    times = recording.times
-    horizon = simulator.horizon_minutes
-    num_invocations = times.size
-    counts = recording.counts
-    offsets = recording.offsets
-    populated = counts > 0
-    first_positions = offsets[populated]
-    cold = np.zeros(num_invocations, dtype=bool)
-    load_end = keepalive
-    if num_invocations:
-        np.add(times, prewarm, out=load_start)
-        load_end += load_start
-        warm = (load_start[:-1] <= times[1:]) & (times[1:] <= load_end[:-1])
-        cold[1:] = ~warm
-        cold[first_positions] = simulator.first_invocation_cold
-        # The pre-warming row is spent; it now holds each gap's load end
-        # clipped to the next arrival and the horizon.
-        effective_end = prewarm[:-1]
-        np.minimum(load_end[:-1], times[1:], out=effective_end)
-        np.minimum(effective_end, horizon, out=effective_end)
-        terms[0] = 0.0
-        np.subtract(effective_end, load_start[:-1], out=terms[1:])
-        np.maximum(terms[1:], 0.0, out=terms[1:])
-        terms[first_positions] = 0.0
-
     # Per-application totals.  Rows are sorted longest-first, so the
     # populated rows are a prefix and every empty application follows.
     order = recording.order
-    populated_rows = int(np.count_nonzero(populated))
+    counts = recording.counts
+    populated_rows = int(np.count_nonzero(counts))
     results: list[AppSimResult | None] = [None] * len(items)
     for index in order[populated_rows:].tolist():
         results[index] = AppSimResult(
@@ -810,37 +764,69 @@ def _evaluate_hybrid_config(
             memory_mb=items[index].memory_mb,
             mode_counts=dict(_EMPTY_HYBRID_MODES),
         )
-    if populated_rows:
-        starts = offsets[:populated_rows]
-        lasts = starts + counts[:populated_rows] - 1
-        wasted = np.add.reduceat(terms, starts)
-        if simulator.count_tail_waste:
-            # The last decision's waste up to the horizon, with the
-            # arithmetic of ColdStartSimulator._waste_between.
-            tail_end = np.minimum(load_end[lasts], horizon)
-            tail_start = load_start[lasts]
-            wasted += np.where(tail_end > tail_start, tail_end - tail_start, 0.0)
-        if mask_arima is None:
-            mask_arima = np.zeros(num_invocations, dtype=bool)
-        columns = zip(
-            order[:populated_rows].tolist(),
-            counts[:populated_rows].tolist(),
-            np.add.reduceat(cold, starts, dtype=np.int64).tolist(),
-            wasted.tolist(),
-            np.add.reduceat(mask_histogram, starts, dtype=np.int64).tolist(),
-            np.add.reduceat(mask_standard, starts, dtype=np.int64).tolist(),
-            np.add.reduceat(mask_arima, starts, dtype=np.int64).tolist(),
-            recording.oob[range_minutes][lasts].tolist(),
+    if not populated_rows:
+        return results  # type: ignore[return-value]
+
+    # Cold/warm outcomes and idle-loaded waste from consecutive decisions,
+    # flat: position i's decision governs the gap to position i + 1 of the
+    # same application (the entry pairing an application's last invocation
+    # with the next application's first is masked off below).
+    times = recording.times
+    horizon = simulator.horizon_minutes
+    starts = recording.offsets[:populated_rows]
+    lasts = starts + counts[:populated_rows] - 1
+    load_end = keepalive
+    np.add(times, prewarm, out=load_start)
+    load_end += load_start
+    cold = np.empty(times.size, dtype=bool)
+    cold[1:] = ~((load_start[:-1] <= times[1:]) & (times[1:] <= load_end[:-1]))
+    cold[starts] = simulator.first_invocation_cold
+    wasted = np.zeros(populated_rows)
+    if simulator.count_tail_waste:
+        # The last decision's waste up to the horizon, with the
+        # arithmetic of ColdStartSimulator._waste_between.
+        tail_end = np.minimum(load_end[lasts], horizon)
+        tail_start = load_start[lasts]
+        wasted = np.where(tail_end > tail_start, tail_end - tail_start, 0.0)
+    # The pre-warming row is spent: it now holds each gap's idle loaded
+    # time, the load end clipped to the next arrival and the horizon,
+    # minus the load start.  The load-start row is spent next: shifted by
+    # one, it holds that waste at the position of the invocation ending
+    # the gap, so every application's terms sum within its own segment.
+    gap_waste = prewarm[:-1]
+    np.minimum(load_end[:-1], times[1:], out=gap_waste)
+    np.minimum(gap_waste, horizon, out=gap_waste)
+    gap_waste -= load_start[:-1]
+    np.maximum(gap_waste, 0.0, out=gap_waste)
+    terms = load_start
+    terms[0] = 0.0
+    terms[1:] = gap_waste
+    terms[starts] = 0.0
+    wasted = np.add.reduceat(terms, starts) + wasted
+    arima_counts = (
+        np.add.reduceat(mask_arima, starts, dtype=np.int64)
+        if mask_arima is not None
+        else np.zeros(populated_rows, dtype=np.int64)
+    )
+    columns = zip(
+        order[:populated_rows].tolist(),
+        counts[:populated_rows].tolist(),
+        np.add.reduceat(cold, starts, dtype=np.int64).tolist(),
+        wasted.tolist(),
+        np.add.reduceat(mask_histogram, starts, dtype=np.int64).tolist(),
+        np.add.reduceat(mask_standard, starts, dtype=np.int64).tolist(),
+        arima_counts.tolist(),
+        oob[lasts].tolist(),
+    )
+    for index, n, cold_starts, wasted_minutes, histogram, standard, arima, oob_last in columns:
+        results[index] = AppSimResult(
+            app_id=items[index].app_id,
+            invocations=n,
+            cold_starts=cold_starts,
+            wasted_memory_minutes=wasted_minutes,
+            memory_mb=items[index].memory_mb,
+            mode_counts={"histogram": histogram, "standard": standard, "arima": arima},
+            oob_idle_times=oob_last,
         )
-        for index, n, cold_starts, wasted_minutes, histogram, standard, arima, oob_last in columns:
-            results[index] = AppSimResult(
-                app_id=items[index].app_id,
-                invocations=n,
-                cold_starts=cold_starts,
-                wasted_memory_minutes=wasted_minutes,
-                memory_mb=items[index].memory_mb,
-                mode_counts={"histogram": histogram, "standard": standard, "arima": arima},
-                oob_idle_times=oob_last,
-            )
     assert all(result is not None for result in results)
     return results  # type: ignore[return-value]

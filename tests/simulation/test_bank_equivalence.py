@@ -1,6 +1,6 @@
-"""Bank-equivalence suite: the banked engine against the scalar reference.
+"""Bank-equivalence suite: banked stepping against the scalar reference.
 
-The banked execution route replaces one scalar
+Banked stepping replaces one scalar
 :class:`~repro.core.hybrid.HybridHistogramPolicy` instance per application
 with a single struct-of-arrays :class:`~repro.policies.bank.HybridPolicyBank`.
 The bank was designed so that every vectorized float operation mirrors the
@@ -11,13 +11,13 @@ scalar policy's arithmetic element for element; this suite locks that down:
   — counts, OOB, CV, head/tail cutoffs, and scalar extraction — under
   both generic and prefix stepping;
 * on randomized multi-app workloads (including ARIMA-triggering sparse
-  apps and sub-``min_observations`` apps), the banked engine reproduces
+  apps and sub-``min_observations`` apps), banked stepping reproduces
   the serial engine's per-app cold-start counts exactly and wasted-memory
   minutes within 1e-9, along with mode counts and OOB counters;
-* the banked route composes with the parallel engine: 1, 2, and 4 workers
-  produce byte-identical comparison rows;
-* ``auto`` routes banked-capable policies through the bank and everything
-  else through the closed-form/scalar paths.
+* the engine's hybrid family pass — the same longest-first lockstep
+  stepping, recorded once and evaluated as decision masks — matches the
+  serial engine the same way, sharded or not: 1, 2, and 4 workers
+  produce byte-identical comparison rows.
 """
 
 from __future__ import annotations
@@ -32,9 +32,9 @@ from repro.core.hybrid import HybridHistogramPolicy
 from repro.policies.bank import HybridPolicyBank, PolicyBank
 from repro.policies.registry import fixed_keepalive_factory, hybrid_factory
 from repro.simulation.coldstart import ColdStartSimulator
-from repro.simulation.engine import EXECUTION_MODES, RunnerOptions
+from repro.simulation.engine import RunnerOptions
 from repro.simulation.metrics import AppSimResult
-from repro.simulation.runner import ParallelWorkloadRunner, WorkloadRunner
+from repro.simulation.runner import WorkloadRunner
 from tests.conftest import make_workload
 
 WASTE_TOLERANCE = 1e-9
@@ -358,7 +358,7 @@ class TestBankedSimulationAgainstSerial:
 
 
 # --------------------------------------------------------------------------- #
-# Engine routing and parallel composition
+# Engine runs and sharding
 # --------------------------------------------------------------------------- #
 class TestBankedEngineRouting:
     def workload(self, seed: int = 3):
@@ -370,8 +370,8 @@ class TestBankedEngineRouting:
             duration_minutes=HORIZON,
         )
 
-    def test_banked_mode_is_registered(self):
-        assert "banked" in EXECUTION_MODES
+    def test_banked_spelling_means_auto(self):
+        assert RunnerOptions(execution="banked") == RunnerOptions()
 
     def test_capability_flags(self):
         assert hybrid_factory().supports_banked
@@ -412,7 +412,7 @@ class TestBankedEngineRouting:
         workload = self.workload(seed=11)
         rows_by_workers = {}
         for workers in (1, 2, 4):
-            runner = ParallelWorkloadRunner(workload, workers=workers)
+            runner = WorkloadRunner(workload, RunnerOptions(workers=workers))
             comparison = runner.compare(
                 [fixed_keepalive_factory(10.0), hybrid_factory()]
             )
@@ -433,7 +433,7 @@ class TestBankedEngineRouting:
             workload, RunnerOptions(execution="serial")
         ).run_policy(factory)
         candidate = WorkloadRunner(
-            workload, RunnerOptions(execution="parallel", workers=3)
+            workload, RunnerOptions(workers=3)
         ).run_policy(factory)
         assert_app_results_match(
             list(reference.app_results), list(candidate.app_results)
@@ -443,16 +443,18 @@ class TestBankedEngineRouting:
         workload = self.workload(seed=17)
         factory = hybrid_factory()
         by_route = {
-            execution: WorkloadRunner(
-                workload, RunnerOptions(execution=execution)
-            ).run_policy(factory)
-            for execution in ("serial", "banked", "parallel")
+            route: WorkloadRunner(workload, options).run_policy(factory)
+            for route, options in (
+                ("serial", RunnerOptions(execution="serial")),
+                ("auto", RunnerOptions()),
+                ("sharded", RunnerOptions(workers=2)),
+            )
         }
         usages = {mode: result.mode_usage() for mode, result in by_route.items()}
-        assert usages["banked"] == usages["serial"] == usages["parallel"]
+        assert usages["auto"] == usages["serial"] == usages["sharded"]
         assert usages["serial"]  # hybrid tracks modes
         oob = {mode: result.total_oob_idle_times for mode, result in by_route.items()}
-        assert oob["banked"] == oob["serial"] == oob["parallel"]
+        assert oob["auto"] == oob["serial"] == oob["sharded"]
 
 
 class TestArimaHistoryAndBatching:

@@ -1,18 +1,20 @@
-"""Equivalence suite locking the execution engines together.
+"""Equivalence suite locking the execution modes together.
 
 The serial scalar loop (`ColdStartSimulator` driven one invocation at a
 time) is the reference implementation of the paper's Section 5.1
-methodology.  The vectorized fixed-policy fast path and the parallel
-sharded engine (:mod:`repro.simulation.engine`) exist purely for speed,
-so this suite pins them to the reference:
+methodology.  The ``auto`` family evaluators — the closed form for
+constant keep-alive policies, the hybrid recording pass — and their
+sharded runs (:mod:`repro.simulation.engine`,
+:mod:`repro.simulation.sweep_engine`) exist purely for speed, so this
+suite pins them to the reference:
 
-* for seeded random workloads, every engine must produce cold-start
-  counts identical to the serial engine and wasted-memory minutes equal
-  to within 1e-9, per application and in aggregate, for the fixed,
-  no-unloading, and hybrid policy families;
+* for seeded random workloads, every fast configuration must produce
+  cold-start counts identical to the serial engine and wasted-memory
+  minutes equal to within 1e-9, per application and in aggregate, for
+  the fixed, no-unloading, and hybrid policy families;
 * edge cases (empty app, single invocation, duplicate timestamps,
   invocation exactly at the horizon) must agree exactly;
-* the parallel engine must be deterministic: 1, 2, and 4 workers yield
+* sharded runs must be deterministic: 1, 2, and 4 workers yield
   byte-identical comparison tables.
 """
 
@@ -36,19 +38,20 @@ from repro.simulation.engine import (
     EXECUTION_MODES,
     RunnerOptions,
     SimulationEngine,
-    simulate_constant_decision_app,
+    _AppWorkItem,
 )
 from repro.simulation.metrics import AppSimResult
-from repro.simulation.runner import ParallelWorkloadRunner, WorkloadRunner
+from repro.simulation.runner import WorkloadRunner
+from repro.simulation.sweep_engine import _evaluate_constant_family
 from repro.trace.generator import GeneratorConfig, WorkloadGenerator
 from repro.trace.schema import Workload
 from tests.conftest import make_workload
 
 WASTE_TOLERANCE = 1e-9
 
-#: The policy families every engine must agree on.  The hybrid policy has
-#: no vectorized fast path, so it exercises the scalar-loop route of the
-#: vectorized and parallel engines.
+#: The policy families every configuration must agree on: the constant
+#: keep-alive family's closed form and the hybrid family's recording pass,
+#: each run as a family of one.
 POLICY_FACTORIES: tuple[PolicyFactory, ...] = (
     fixed_keepalive_factory(0.0),
     fixed_keepalive_factory(10.0),
@@ -57,7 +60,16 @@ POLICY_FACTORIES: tuple[PolicyFactory, ...] = (
     hybrid_factory(),
 )
 
-ENGINES = tuple(mode for mode in EXECUTION_MODES if mode != "serial")
+#: Options of the serial reference and of the fast configurations held to it:
+#: in process, sharded, and chunked under a budget small enough to split
+#: the test workloads into many application ranges.
+ENGINE_OPTIONS = {
+    "serial": {"execution": "serial"},
+    "auto": {},
+    "sharded": {"workers": 2},
+    "budgeted": {"max_resident_bytes": 16 * 1024},
+}
+ENGINES = ("auto", "sharded", "budgeted")
 
 
 def seeded_workload(seed: int, num_apps: int = 25) -> Workload:
@@ -73,16 +85,11 @@ def seeded_workload(seed: int, num_apps: int = 25) -> Workload:
 def run_engine(
     workload: Workload,
     factory: PolicyFactory,
-    execution: str,
+    engine: str,
     *,
-    workers: int | None = 2,
     min_invocations: int = 1,
 ):
-    options = RunnerOptions(
-        execution=execution,
-        workers=workers if execution == "parallel" else None,
-        min_invocations=min_invocations,
-    )
+    options = RunnerOptions(min_invocations=min_invocations, **ENGINE_OPTIONS[engine])
     return WorkloadRunner(workload, options).run_policy(factory)
 
 
@@ -125,7 +132,7 @@ class TestEngineEquivalenceOnRandomWorkloads:
         ).run_policy(factory)
         candidate = WorkloadRunner(
             two_app_workload,
-            RunnerOptions(execution=engine, use_memory_weights=True, workers=2),
+            RunnerOptions(use_memory_weights=True, **ENGINE_OPTIONS[engine]),
         ).run_policy(factory)
         assert_results_equivalent(reference, candidate)
         assert candidate.total_wasted_memory_mb_minutes == pytest.approx(
@@ -134,9 +141,9 @@ class TestEngineEquivalenceOnRandomWorkloads:
 
 
 # --------------------------------------------------------------------------- #
-# Closed-form fast path against the scalar simulator, per application
+# Constant keep-alive closed form against the scalar simulator, per application
 # --------------------------------------------------------------------------- #
-class TestVectorizedFastPathAgainstScalar:
+class TestClosedFormAgainstScalar:
     HORIZON = 1440.0
 
     def scalar(self, times, keepalive: float) -> AppSimResult:
@@ -148,14 +155,20 @@ class TestVectorizedFastPathAgainstScalar:
         assert isinstance(result, AppSimResult)
         return result
 
-    def vectorized(self, times, keepalive: float) -> AppSimResult:
-        return simulate_constant_decision_app(
-            "app", times, keepalive, horizon_minutes=self.HORIZON
+    def closed_form(self, times, keepalive: float) -> AppSimResult:
+        """The constant keep-alive family's pass over one application."""
+        factory = (
+            no_unloading_factory()
+            if math.isinf(keepalive)
+            else fixed_keepalive_factory(keepalive)
         )
+        item = _AppWorkItem("app", np.asarray(times, dtype=float), 1.0)
+        simulator = ColdStartSimulator(self.HORIZON)
+        return _evaluate_constant_family([factory], [item], simulator)[factory.name][0]
 
     def assert_app_equal(self, times, keepalive: float) -> None:
         expected = self.scalar(times, keepalive)
-        actual = self.vectorized(times, keepalive)
+        actual = self.closed_form(times, keepalive)
         assert actual.invocations == expected.invocations
         assert actual.cold_starts == expected.cold_starts
         assert actual.wasted_memory_minutes == pytest.approx(
@@ -173,7 +186,7 @@ class TestVectorizedFastPathAgainstScalar:
     @pytest.mark.parametrize("keepalive", [0.0, 10.0, math.inf])
     def test_empty_app(self, keepalive):
         self.assert_app_equal([], keepalive)
-        result = self.vectorized([], keepalive)
+        result = self.closed_form([], keepalive)
         assert result.invocations == 0
         assert result.cold_starts == 0
         assert result.wasted_memory_minutes == 0.0
@@ -196,25 +209,25 @@ class TestVectorizedFastPathAgainstScalar:
 
     def test_arrival_exactly_at_window_expiry_is_warm(self):
         # PolicyDecision.covers treats the expiry instant as warm; the
-        # vectorized comparison must use the same closed boundary.
+        # closed form must use the same closed boundary.
         self.assert_app_equal([0.0, 10.0, 20.0], 10.0)
-        result = self.vectorized([0.0, 10.0, 20.0], 10.0)
+        result = self.closed_form([0.0, 10.0, 20.0], 10.0)
         assert result.cold_starts == 1
 
     def test_zero_keepalive_only_duplicates_warm(self):
-        result = self.vectorized([1.0, 1.0, 2.0], 0.0)
+        result = self.closed_form([1.0, 1.0, 2.0], 0.0)
         assert result.cold_starts == 2
         assert result.wasted_memory_minutes == 0.0
 
     def test_unsorted_input_rejected_like_scalar_engine(self):
         with pytest.raises(ValueError, match="sorted"):
-            self.vectorized([50.0, 0.0, 5.0], 10.0)
+            self.closed_form([50.0, 0.0, 5.0], 10.0)
 
     def test_out_of_horizon_rejected_like_scalar_engine(self):
         with pytest.raises(ValueError, match="horizon"):
-            self.vectorized([10.0, self.HORIZON + 1.0], 10.0)
+            self.closed_form([10.0, self.HORIZON + 1.0], 10.0)
         with pytest.raises(ValueError, match="horizon"):
-            self.vectorized([-1.0, 10.0], 10.0)
+            self.closed_form([-1.0, 10.0], 10.0)
 
 
 # --------------------------------------------------------------------------- #
@@ -252,19 +265,19 @@ class TestEdgeCaseWorkloads:
         assert reference.num_apps == candidate.num_apps == 4
         assert_results_equivalent(reference, candidate)
 
-    def test_empty_workload_parallel(self):
+    def test_empty_workload_sharded(self):
         workload = make_workload({"empty": []})
-        result = run_engine(workload, fixed_keepalive_factory(10.0), "parallel")
+        result = run_engine(workload, fixed_keepalive_factory(10.0), "sharded")
         assert result.num_apps == 0
         assert result.total_cold_starts == 0
 
 
 # --------------------------------------------------------------------------- #
-# Parallel engine determinism and plumbing
+# Sharded determinism and plumbing
 # --------------------------------------------------------------------------- #
-class TestParallelDeterminism:
+class TestShardedDeterminism:
     def comparison_rows(self, workload: Workload, workers: int):
-        runner = ParallelWorkloadRunner(workload, workers=workers)
+        runner = WorkloadRunner(workload, RunnerOptions(workers=workers))
         comparison = runner.compare(
             [fixed_keepalive_factory(10.0), no_unloading_factory(), hybrid_factory()]
         )
@@ -282,25 +295,20 @@ class TestParallelDeterminism:
             rows_by_workers[4]
         )
 
-    def test_parallel_runner_pins_execution(self, two_app_workload):
-        runner = ParallelWorkloadRunner(two_app_workload, workers=3)
-        assert runner.options.execution == "parallel"
-        assert runner.options.workers == 3
-
     def test_result_order_is_workload_order(self):
         workload = seeded_workload(3, num_apps=12)
         serial = run_engine(workload, fixed_keepalive_factory(10.0), "serial")
-        parallel = run_engine(workload, fixed_keepalive_factory(10.0), "parallel", workers=4)
-        assert [r.app_id for r in parallel.app_results] == [
+        sharded = WorkloadRunner(workload, RunnerOptions(workers=4)).run_policy(
+            fixed_keepalive_factory(10.0)
+        )
+        assert [r.app_id for r in sharded.app_results] == [
             r.app_id for r in serial.app_results
         ]
 
     def test_progress_aggregates_to_total(self):
         workload = seeded_workload(5, num_apps=10)
         calls: list[tuple[int, int]] = []
-        engine = SimulationEngine(
-            workload, RunnerOptions(execution="parallel", workers=2)
-        )
+        engine = SimulationEngine(workload, RunnerOptions(workers=2))
         engine.run_policy(
             fixed_keepalive_factory(10.0), progress=lambda d, t: calls.append((d, t))
         )
@@ -320,6 +328,14 @@ class TestRunnerOptionsValidation:
     def test_non_positive_worker_count_rejected(self):
         with pytest.raises(ValueError, match="worker count"):
             RunnerOptions(workers=0)
+
+    def test_execution_modes(self):
+        assert EXECUTION_MODES == ("auto", "serial")
+        # The spelling from before the fast routes merged still means auto.
+        assert RunnerOptions(execution="banked").execution == "auto"
+        for removed in ("vectorized", "parallel"):
+            with pytest.raises(ValueError, match="execution mode"):
+                RunnerOptions(execution=removed)
 
     def test_defaults_are_valid(self):
         options = RunnerOptions()

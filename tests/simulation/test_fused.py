@@ -2,9 +2,10 @@
 
 The contract: :func:`simulate_streamed` must produce exactly the results
 of the two-step path — stream the same config to disk, re-open the store,
-run the same factories — for every engine route.  This holds because all
-routes simulate applications independently and a bare store weighs every
-application 1 MB in both paths.
+run the same factories — under either execution mode, in process or
+sharded.  This holds because every evaluator simulates applications
+independently and a bare store weighs every application 1 MB in both
+paths.
 """
 
 from __future__ import annotations
@@ -32,10 +33,14 @@ def disk_round_trip(tmp_path, config, options):
     return WorkloadRunner(store, options).run_policies(factories())
 
 
-@pytest.mark.parametrize("route", ["serial", "vectorized", "banked", "parallel", "auto"])
+@pytest.mark.parametrize(
+    "route",
+    [{"execution": "serial"}, {}, {"workers": 2}, {"max_resident_bytes": 16 * 1024}],
+    ids=["serial", "auto", "sharded", "budgeted"],
+)
 def test_fused_equals_disk_round_trip_per_route(tmp_path, route):
     config = GeneratorConfig(**SMALL, rng_scheme="v2")
-    options = RunnerOptions(execution=route, workers=2)
+    options = RunnerOptions(**route)
     disk = disk_round_trip(tmp_path, config, options)
     fused = simulate_streamed(config, factories(), options=options, chunk_apps=5)
     assert disk.keys() == fused.keys()
@@ -45,7 +50,7 @@ def test_fused_equals_disk_round_trip_per_route(tmp_path, route):
 
 def test_fused_works_under_v1_scheme(tmp_path):
     config = GeneratorConfig(**SMALL)
-    options = RunnerOptions(execution="auto")
+    options = RunnerOptions()
     disk = disk_round_trip(tmp_path, config, options)
     fused = simulate_streamed(config, factories(), options=options, chunk_apps=7)
     for name in disk:

@@ -2,10 +2,11 @@
 
 Three contracts from the out-of-core scale-out work:
 
-* ``RunnerOptions.max_resident_bytes`` chunks every in-process route (and
-  each parallel shard) over contiguous application ranges without
-  changing a single result — chunked runs are byte-identical to
-  unchunked runs of the same route.
+* ``RunnerOptions.max_resident_bytes`` chunks every pass (and each
+  parallel shard) over contiguous application ranges without changing a
+  single result — chunked runs are byte-identical to unchunked runs of
+  the same evaluator — and bounds the pass's peak memory near the
+  budget.
 * The engine accepts a bare (typically memory-mapped)
   :class:`~repro.trace.store.InvocationStore` and produces the same
   results as the full-workload engine over the same columns.
@@ -16,14 +17,22 @@ Three contracts from the out-of-core scale-out work:
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.policies.registry import fixed_keepalive_factory, hybrid_factory
-from repro.simulation.engine import RunnerOptions, SimulationEngine
+from repro.simulation.engine import (
+    _PER_APP_RESIDENT_BYTES,
+    PASS_BYTES_PER_INVOCATION,
+    RunnerOptions,
+    SimulationEngine,
+)
 from repro.simulation.runner import WorkloadRunner
 from repro.trace.generator import GeneratorConfig, WorkloadGenerator
 from repro.trace.store import InvocationStore
+from tests.conftest import make_workload
 
 BUDGET = 64 * 1024  # small enough to force many chunks on the test trace
 
@@ -76,7 +85,10 @@ class TestChunkGeometry:
         )
         counts = workload.store.app_counts()
         for start, stop in engine.app_chunk_bounds():
-            chunk_bytes = int(counts[start:stop].sum()) * 8
+            chunk_bytes = (
+                int(counts[start:stop].sum()) * PASS_BYTES_PER_INVOCATION
+                + (stop - start) * _PER_APP_RESIDENT_BYTES
+            )
             assert chunk_bytes <= BUDGET or stop - start == 1
 
     def test_no_budget_is_one_chunk(self, workload):
@@ -109,7 +121,7 @@ class TestChunkGeometry:
 
 
 class TestChunkedEquivalence:
-    @pytest.mark.parametrize("execution", ["serial", "auto", "banked"])
+    @pytest.mark.parametrize("execution", ["serial", "auto"])
     @pytest.mark.parametrize("policy", ["fixed", "hybrid"])
     def test_chunked_matches_unchunked(self, workload, execution, policy):
         factory = (
@@ -127,11 +139,9 @@ class TestChunkedEquivalence:
     def test_family_sweep_chunked_matches_unchunked(self, workload):
         factories = [fixed_keepalive_factory(k) for k in (5.0, 10.0, 60.0)]
         factories.append(hybrid_factory())
-        reference = WorkloadRunner(
-            workload, RunnerOptions(sweep="family")
-        ).run_policies(factories)
+        reference = WorkloadRunner(workload).run_policies(factories)
         chunked = WorkloadRunner(
-            workload, RunnerOptions(sweep="family", max_resident_bytes=BUDGET)
+            workload, RunnerOptions(max_resident_bytes=BUDGET)
         ).run_policies(factories)
         assert reference.keys() == chunked.keys()
         for name in reference:
@@ -146,6 +156,39 @@ class TestChunkedEquivalence:
             progress=lambda done, total: seen.append((done, total)),
         )
         assert seen[-1][0] == seen[-1][1]
+
+    @pytest.mark.parametrize("run", ["alone", "family"])
+    def test_budget_bounds_the_hybrid_pass_peak(self, run):
+        """A budgeted hybrid pass peaks near its budget, not near the trace.
+
+        Twelve applications of 1,000 invocations each: unbudgeted, one
+        hybrid pass over all 12,000 invocations holds about 1 MB.  Under
+        a 64 KiB budget every chunk's pass state must fit the budget —
+        for one configuration run alone and for a two-configuration
+        family — so the traced peak (pass state plus the retained per-app
+        results) stays within a small multiple of it.
+        """
+        rng = np.random.default_rng(5)
+        workload = make_workload(
+            {
+                f"app{i:02d}": np.sort(rng.uniform(0.0, 1440.0, 1_000)).tolist()
+                for i in range(12)
+            }
+        )
+        budget = 64 * 1024
+        runner = WorkloadRunner(workload, RunnerOptions(max_resident_bytes=budget))
+        factories = [hybrid_factory()]
+        if run == "family":
+            factories.append(hybrid_factory(cv_threshold=5.0).renamed("hybrid-cv5"))
+        runner.run_policies(factories)  # warm caches outside the trace
+        tracemalloc.start()
+        try:
+            results = runner.run_policies(factories)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert all(result.num_apps == 12 for result in results.values())
+        assert peak <= 2 * budget, f"peak {peak} B for a {budget} B budget"
 
 
 class TestStoreOnlyEngine:
@@ -173,11 +216,7 @@ class TestSharedMemoryShards:
             for workers in (1, 2, 4):
                 run = WorkloadRunner(
                     mapped_store,
-                    RunnerOptions(
-                        execution="parallel",
-                        workers=workers,
-                        max_resident_bytes=BUDGET,
-                    ),
+                    RunnerOptions(workers=workers, max_resident_bytes=BUDGET),
                 ).run_policy(factory)
                 rows = result_rows(run)
                 if reference is None:
@@ -189,23 +228,15 @@ class TestSharedMemoryShards:
         factory = hybrid_factory()
         in_process = WorkloadRunner(mapped_store, RunnerOptions()).run_policy(factory)
         parallel = WorkloadRunner(
-            mapped_store, RunnerOptions(execution="parallel", workers=3)
+            mapped_store, RunnerOptions(workers=3)
         ).run_policy(factory)
         assert result_rows(parallel) == result_rows(in_process)
 
     def test_family_sweep_sharded_over_mapped_store(self, mapped_store):
         factories = [fixed_keepalive_factory(k) for k in (5.0, 10.0, 60.0)]
-        reference = WorkloadRunner(
-            mapped_store, RunnerOptions(sweep="family")
-        ).run_policies(factories)
+        reference = WorkloadRunner(mapped_store).run_policies(factories)
         sharded = WorkloadRunner(
-            mapped_store,
-            RunnerOptions(
-                execution="parallel",
-                workers=2,
-                sweep="family",
-                max_resident_bytes=BUDGET,
-            ),
+            mapped_store, RunnerOptions(workers=2, max_resident_bytes=BUDGET)
         ).run_policies(factories)
         for name in reference:
             assert result_rows(sharded[name]) == result_rows(reference[name])

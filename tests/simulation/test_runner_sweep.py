@@ -69,7 +69,7 @@ class TestWorkloadRunner:
         result = run_policy_over_workload(two_app_workload, fixed_keepalive_factory(10))
         assert result.policy_name == "fixed-10min"
 
-    @pytest.mark.parametrize("sweep", ["auto", "family", "per-policy"])
+    @pytest.mark.parametrize("sweep", ["auto", "per-policy"])
     def test_duplicate_factory_names_rejected(self, two_app_workload, sweep):
         """Regression: duplicate names used to silently overwrite results."""
         runner = WorkloadRunner(two_app_workload, RunnerOptions(sweep=sweep))

@@ -80,10 +80,10 @@ class TestEngineEquivalence:
         """Engine rows from store slices == scalar replay of dict merges.
 
         The serial route must be byte-identical: same arrays, same
-        per-term float operations.  The ``auto`` route may pick the
-        vectorized/banked fast paths whose *summation order* differs from
-        the scalar loop by design (documented since the engines landed),
-        so waste there is held to the 1e-9 equivalence bound instead.
+        per-term float operations.  The ``auto`` family passes sum each
+        application's terms in another order than the scalar loop by
+        design, so waste there is held to the 1e-9 equivalence bound
+        instead.
         """
         _, per_app = legacy_dicts
         factory = make_factory()

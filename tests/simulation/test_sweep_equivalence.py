@@ -3,13 +3,15 @@
 The sweep engine (:mod:`repro.simulation.sweep_engine`) evaluates a whole
 policy family in one pass over the workload — shared per-app gaps for the
 constant-keep-alive grid, one shared histogram pass plus per-config
-decision masks for the hybrid family.  This suite locks down the contract
-that makes that safe: for every figure family (14, 15, 16, 17, 18, and
-the Figure 19 ARIMA comparison) and for mixed shareable/unshareable factory
-lists, the per-application results match independent per-configuration
-runs — cold-start counts exactly, wasted memory within 1e-9, decision-mode
-counters and OOB counts exactly — and the family path composes with the
-parallel sharded engine unchanged.
+decision masks for the hybrid family — and runs a single policy as a
+family of one.  This suite locks down the contract that makes that safe:
+for every figure family (14, 15, 16, 17, 18, and the Figure 19 ARIMA
+comparison) and for mixed shareable/unshareable factory lists, the
+per-application results match the serial reference run of each
+configuration — cold-start counts exactly, wasted memory within 1e-9,
+decision-mode counters and OOB counts exactly — every configuration
+gives the same results alone as inside its family, and the family pass
+composes with sharding and memory-bounded chunking unchanged.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from repro.policies.registry import (
     hybrid_factory,
     no_unloading_factory,
 )
-from repro.simulation.runner import RunnerOptions, WorkloadRunner
+from repro.simulation.runner import PolicyComparison, RunnerOptions, WorkloadRunner
 from repro.simulation.sweep import (
     FIGURE_16_CUTOFFS,
     FIGURE_18_CV_THRESHOLDS,
@@ -59,13 +61,11 @@ def streams_workload():
 
 
 def run_both(workload, factories, **options):
-    """One per-policy reference run and one family run of the same list."""
+    """One serial reference run per policy and one family run of the list."""
     reference = WorkloadRunner(
-        workload, RunnerOptions(sweep="per-policy", **options)
+        workload, RunnerOptions(execution="serial", sweep="per-policy", **options)
     ).run_policies(factories)
-    family = WorkloadRunner(
-        workload, RunnerOptions(sweep="family", **options)
-    ).run_policies(factories)
+    family = WorkloadRunner(workload, RunnerOptions(**options)).run_policies(factories)
     return reference, family
 
 
@@ -156,28 +156,30 @@ class TestFactoryGrouping:
         assert [len(group.factories) for group in groups] == [2, 1]
         assert groups[1].factories == (odd,)
 
-    def test_grouping_disabled_yields_singletons(self):
+    def test_grouping_disabled_yields_families_of_one(self):
         factories = [fixed_keepalive_factory(10), no_unloading_factory()]
         groups = group_factories(factories, enabled=False)
-        assert [group.key for group in groups] == [None, None]
+        assert [group.factories for group in groups] == [(f,) for f in factories]
+        assert [group.key for group in groups] == [(FAMILY_CONSTANT_KEEPALIVE,)] * 2
 
-    def test_sharing_enabled_per_options(self):
+    def test_sweep_mode_selects_grouping(self):
         workload = make_workload({"a": [1.0, 2.0]}, duration_minutes=10.0)
+        factories = [fixed_keepalive_factory(10), no_unloading_factory()]
 
-        def enabled(**options):
+        def group_sizes(**options):
             runner = WorkloadRunner(workload, RunnerOptions(**options))
-            return runner._sweep_engine.family_sharing_enabled()
+            return [len(group.factories) for group in runner.sweep_groups(factories)]
 
-        assert enabled()
-        assert enabled(execution="parallel")
-        assert not enabled(execution="serial")
-        assert not enabled(execution="banked")
-        assert enabled(execution="serial", sweep="family")
-        assert not enabled(sweep="per-policy")
+        assert group_sizes() == [2]
+        assert group_sizes(execution="serial") == [2]
+        assert group_sizes(sweep="per-policy") == [1, 1]
 
     def test_unknown_sweep_mode_rejected(self):
         with pytest.raises(ValueError, match="sweep mode"):
             RunnerOptions(sweep="bogus")
+        # The forced-family mode is gone: ``auto`` always shares.
+        with pytest.raises(ValueError, match="sweep mode"):
+            RunnerOptions(sweep="family")
 
 
 # --------------------------------------------------------------------------- #
@@ -217,11 +219,11 @@ class TestFamilyEquivalence:
         assert reference["hybrid-1h"].mode_usage()["arima"] > 0
         for options in (
             {"max_resident_bytes": 64 * 1024},
-            {"execution": "parallel", "workers": 1},
-            {"execution": "parallel", "workers": 2},
+            {"workers": 1},
+            {"workers": 2},
         ):
             other = WorkloadRunner(
-                streams_workload, RunnerOptions(sweep="family", **options)
+                streams_workload, RunnerOptions(**options)
             ).run_policies(factories)
             assert list(other) == list(family)
             for name, result in family.items():
@@ -267,11 +269,9 @@ class TestFamilyEquivalence:
 
     def test_fig19_arima_comparison_shares_hybrid_pass(self, streams_workload):
         per_policy = sweep_arima_contribution(
-            streams_workload, options=RunnerOptions(sweep="per-policy")
+            streams_workload, options=RunnerOptions(execution="serial")
         )
-        shared = sweep_arima_contribution(
-            streams_workload, options=RunnerOptions(sweep="family")
-        )
+        shared = sweep_arima_contribution(streams_workload)
         for attribute in ("fixed", "hybrid_without_arima", "hybrid"):
             assert_app_results_match(
                 list(getattr(per_policy, attribute).app_results),
@@ -289,8 +289,8 @@ class TestFamilyEquivalence:
         ]
         reference, family = run_both(streams_workload, factories)
         assert_results_match(reference, family)
-        # The bare factory really runs per policy (it has no family), and
-        # matches a plain 7-minute fixed run.
+        # The bare factory runs alone (it has no family), and matches a
+        # plain 7-minute fixed run.
         fixed7 = WorkloadRunner(streams_workload).run_policy(fixed_keepalive_factory(7))
         assert_app_results_match(
             list(fixed7.app_results), list(family["custom-7min"].app_results)
@@ -335,15 +335,64 @@ class TestFamilyEquivalence:
 
     def test_parallel_sharding_matches_in_process(self, streams_workload):
         factories = combined_figure_factories(("fig14", "fig16"))
-        in_process = WorkloadRunner(
-            streams_workload, RunnerOptions(sweep="family")
-        ).run_policies(factories)
+        in_process = WorkloadRunner(streams_workload).run_policies(factories)
         for workers in (1, 3):
             sharded = WorkloadRunner(
-                streams_workload,
-                RunnerOptions(execution="parallel", workers=workers, sweep="family"),
+                streams_workload, RunnerOptions(workers=workers)
             ).run_policies(factories)
             assert_results_match(in_process, sharded)
+
+
+# --------------------------------------------------------------------------- #
+# A configuration alone is a family of one
+# --------------------------------------------------------------------------- #
+class TestFamilyOfOne:
+    @pytest.mark.parametrize(
+        "options",
+        [{"workers": 1}, {"workers": 2}, {"max_resident_bytes": 64 * 1024}],
+        ids=["workers-1", "workers-2", "budget-64k"],
+    )
+    def test_figure_configs_alone_match_their_families(self, streams_workload, options):
+        """Every Figure 14-18 configuration run alone equals its family run."""
+        factories = combined_figure_factories(("fig14", "fig15", "fig16", "fig17", "fig18"))
+        runner = WorkloadRunner(streams_workload, RunnerOptions(**options))
+        assert any(len(group.factories) > 1 for group in runner.sweep_groups(factories))
+        family = runner.run_policies(factories)
+        alone = {factory.name: runner.run_policy(factory) for factory in factories}
+        assert list(alone) == list(family)
+        for name, result in family.items():
+            assert_app_results_match(
+                list(alone[name].app_results), list(result.app_results)
+            )
+        assert (
+            PolicyComparison(alone, "fixed-10min").mode_usage_rows()
+            == PolicyComparison(family, "fixed-10min").mode_usage_rows()
+        )
+
+    def test_unshareable_factory_takes_the_scalar_evaluator(
+        self, streams_workload, monkeypatch
+    ):
+        calls = []
+        original = sweep_engine_module._evaluate_scalar
+
+        def counting_scalar(factories, items, simulator):
+            calls.append([factory.name for factory in factories])
+            return original(factories, items, simulator)
+
+        monkeypatch.setattr(sweep_engine_module, "_evaluate_scalar", counting_scalar)
+        bare = PolicyFactory(name="custom-7min", builder=lambda: FixedKeepAlivePolicy(7.0))
+        assert bare.sweep_key is None
+        runner = WorkloadRunner(streams_workload)
+        runner.run_policy(bare)
+        assert calls == [["custom-7min"]]
+        # A family factory takes its family's evaluator under auto, and the
+        # scalar loop only under serial.
+        runner.run_policy(fixed_keepalive_factory(7))
+        assert calls == [["custom-7min"]]
+        WorkloadRunner(streams_workload, RunnerOptions(execution="serial")).run_policy(
+            fixed_keepalive_factory(7)
+        )
+        assert calls == [["custom-7min"], ["fixed-7min"]]
 
 
 # --------------------------------------------------------------------------- #
@@ -367,7 +416,7 @@ class TestArimaForecastSharing:
             hybrid_factory(),
             hybrid_factory(arima_margin=0.30).renamed("hybrid-wide-margin"),
         ]
-        runner = WorkloadRunner(streams_workload, RunnerOptions(sweep="family"))
+        runner = WorkloadRunner(streams_workload)
         results = runner.run_policies(factories)
         arima_decisions = results["hybrid-4h"].mode_usage()["arima"]
         assert arima_decisions > 0
@@ -389,9 +438,7 @@ class TestArimaForecastSharing:
             sweep_engine_module._ArimaForecastMemo, "predictions", counting_predictions
         )
         factories = [hybrid_factory(), hybrid_factory(cv_threshold=5.0).renamed("cv5")]
-        WorkloadRunner(streams_workload, RunnerOptions(sweep="family")).run_policies(
-            factories
-        )
+        WorkloadRunner(streams_workload).run_policies(factories)
         assert calls  # the branch fired
         # Every position is looked up once per config; the memo makes the
         # second config's lookups cache hits (asserted via fit counting

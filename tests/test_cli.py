@@ -36,7 +36,7 @@ class TestCommands:
         # No mode-tracking policy in the run: no decision-mode block.
         assert "decision-mode usage" not in output
 
-    @pytest.mark.parametrize("execution", ["serial", "banked", "auto"])
+    @pytest.mark.parametrize("execution", ["serial", "auto"])
     def test_simulate_reports_hybrid_mode_usage(self, capsys, execution):
         assert (
             main(
