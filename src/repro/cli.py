@@ -620,7 +620,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--gen-workers",
         type=int,
         default=1,
-        help="parallel generation processes for --fused (requires --rng-scheme v2)",
+        help=(
+            "processes that generate and simulate --fused chunks (requires "
+            "--rng-scheme v2 above 1; then --workers must stay 1)"
+        ),
     )
     simulate.add_argument(
         "--chunk-apps",

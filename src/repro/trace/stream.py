@@ -16,10 +16,14 @@ each chunk is a pure function of ``(seed, app range)``, so
 :func:`iter_chunk_columns` dispatches chunk ranges to a pool and
 reassembles results **in chunk order** through the bounded
 :func:`~repro.core.pool.fork_pool_imap` window — the archive bytes are
-identical for any worker count and chunk size.  The same iterator feeds
+identical for any worker count and chunk size.  The same iterator drives
 the fused generate→simulate pipeline
 (:func:`repro.simulation.fused.simulate_streamed`), which skips the disk
-round-trip entirely.
+round-trip entirely: it hands the iterator a per-chunk function that
+runs where the chunk is made (the worker that generated it), so a fused
+chunk never leaves its worker, only the function's results travel back
+to the parent, and the in-flight window holds those results rather than
+chunk columns.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from repro.core.pool import fork_pool_imap
-from repro.trace.generator import GeneratorConfig, WorkloadGenerator
+from repro.trace.generator import GeneratorConfig, WorkloadChunk, WorkloadGenerator
 from repro.trace.store import InvocationStore
 from repro.trace.store_writer import InvocationStoreWriter
 
@@ -117,7 +121,8 @@ def iter_chunk_columns(
     chunk_apps: int = DEFAULT_CHUNK_APPS,
     workers: int = 1,
     max_pending_chunks: int | None = None,
-) -> Iterator[ChunkColumns]:
+    per_chunk: Callable[[ChunkColumns], object] | None = None,
+) -> Iterator:
     """Generate the workload as an in-order stream of column chunks.
 
     The shared producer behind both sinks — the on-disk writer
@@ -126,7 +131,7 @@ def iter_chunk_columns(
     ``workers > 1`` (``v2`` scheme only) chunk ranges are dispatched to a
     forked pool and reassembled in chunk order with at most
     ``max_pending_chunks`` in flight, so a slow consumer throttles the
-    workers and peak memory stays one window of chunks.  Output is
+    workers and peak memory stays one window of results.  Output is
     byte-for-byte independent of ``workers``.
 
     Args:
@@ -135,32 +140,39 @@ def iter_chunk_columns(
         workers: Generation processes (``1`` = in-process, lazy).
         max_pending_chunks: In-flight reassembly window; defaults to
             ``workers + 2``.
+        per_chunk: Optional function applied to each chunk where the
+            chunk is made: in the forked worker that generated it, or in
+            this process for one worker and for the ``v1`` scheme.  The
+            iterator then yields its results instead of the chunks, still
+            in chunk order; with ``workers > 1`` they must pickle, and the
+            window holds results rather than chunk columns.
     """
     _validate_stream_arguments(config, chunk_apps, workers)
     generator = WorkloadGenerator(config)
     num_chunks = (config.num_apps + chunk_apps - 1) // chunk_apps
 
+    def finish(chunk: WorkloadChunk) -> object:
+        columns = ChunkColumns(
+            chunk.start_index, chunk.app_functions(), chunk.app_times, chunk.app_positions
+        )
+        return columns if per_chunk is None else per_chunk(columns)
+
     if workers == 1 or num_chunks <= 1:
         for chunk in generator.generate_chunks(chunk_apps=chunk_apps):
-            yield ChunkColumns(
-                chunk.start_index, chunk.app_functions(), chunk.app_times, chunk.app_positions
-            )
+            yield finish(chunk)
         return
 
     # Sample the O(num_apps) population arrays before forking so every
     # worker shares them copy-on-write instead of re-sampling.
     generator.ensure_population()
 
-    def task(chunk_id: int) -> ChunkColumns:
+    def task(chunk_id: int) -> object:
         start = chunk_id * chunk_apps
-        chunk = generator.generate_app_range(start, min(start + chunk_apps, config.num_apps))
-        return ChunkColumns(
-            chunk.start_index, chunk.app_functions(), chunk.app_times, chunk.app_positions
+        return finish(
+            generator.generate_app_range(start, min(start + chunk_apps, config.num_apps))
         )
 
-    yield from fork_pool_imap(  # type: ignore[misc]
-        task, num_chunks, workers, max_pending=max_pending_chunks
-    )
+    yield from fork_pool_imap(task, num_chunks, workers, max_pending=max_pending_chunks)
 
 
 def stream_workload_to_store(

@@ -48,6 +48,31 @@ def legacy_dicts(medium_workload):
     return per_function, per_app
 
 
+@pytest.fixture(scope="module")
+def dict_backed_scalar(medium_workload, legacy_dicts):
+    """Scalar replay of the dict merges, computed once per factory name.
+
+    The ``serial`` and ``auto`` parametrizations compare against the same
+    reference rows, so each factory's reference is replayed only once.
+    """
+    _, per_app = legacy_dicts
+    simulator = ColdStartSimulator(horizon_minutes=medium_workload.duration_minutes)
+    references: dict = {}
+
+    def reference(factory):
+        if factory.name not in references:
+            references[factory.name] = {
+                app.app_id: simulator.simulate_app(
+                    app.app_id, per_app[app.app_id], factory.create()
+                )
+                for app in medium_workload.apps
+                if per_app[app.app_id].size >= 1
+            }
+        return references[factory.name]
+
+    return reference
+
+
 class TestTimestampEquivalence:
     def test_app_blocks_byte_identical_to_dict_merge(self, medium_workload, legacy_dicts):
         _, per_app = legacy_dicts
@@ -75,7 +100,7 @@ class TestEngineEquivalence:
     )
     @pytest.mark.parametrize("execution", ["serial", "auto"])
     def test_rows_byte_identical_to_dict_backed_scalar(
-        self, medium_workload, legacy_dicts, make_factory, execution
+        self, medium_workload, legacy_dicts, dict_backed_scalar, make_factory, execution
     ):
         """Engine rows from store slices == scalar replay of dict merges.
 
@@ -89,7 +114,7 @@ class TestEngineEquivalence:
         factory = make_factory()
         engine = SimulationEngine(medium_workload, RunnerOptions(execution=execution))
         result = engine.run_policy(factory)
-        simulator = ColdStartSimulator(horizon_minutes=medium_workload.duration_minutes)
+        reference = dict_backed_scalar(factory)
         rows = {row.app_id: row for row in result.app_results}
         checked = 0
         for app in medium_workload.apps:
@@ -97,7 +122,7 @@ class TestEngineEquivalence:
             if legacy_times.size < 1:
                 assert app.app_id not in rows
                 continue
-            expected = simulator.simulate_app(app.app_id, legacy_times, factory.create())
+            expected = reference[app.app_id]
             row = rows[app.app_id]
             assert row.invocations == expected.invocations
             assert row.cold_starts == expected.cold_starts

@@ -178,6 +178,10 @@ class TestCommands:
             (["--gen-workers", "0"], "--gen-workers must be at least 1"),
             (["--gen-workers", "2"], "requires --rng-scheme v2"),
             (["--chunk-apps", "0"], "--chunk-apps must be at least 1"),
+            (
+                ["--rng-scheme", "v2", "--gen-workers", "2", "--workers", "2"],
+                "pass the process count as gen_workers alone",
+            ),
         ],
     )
     def test_simulate_fused_invalid_arguments_exit_2(self, capsys, arguments, message):
