@@ -222,18 +222,9 @@ class IdleTimeHistogram:
             The percentile value in minutes.  Raises ``ValueError`` when the
             histogram holds no in-bounds observations.
         """
-        if not 0 <= q <= 100:
-            raise ValueError("percentile must be within [0, 100]")
         if rounding not in ("down", "up", "nearest"):
             raise ValueError(f"unknown rounding mode: {rounding!r}")
-        in_bounds = self.in_bounds_count
-        if in_bounds == 0:
-            raise ValueError("histogram has no in-bounds observations")
-        cumulative = np.cumsum(self._counts)
-        target = q / 100.0 * in_bounds
-        # Index of the first bin whose cumulative count reaches the target.
-        index = int(np.searchsorted(cumulative, max(target, 1e-12), side="left"))
-        index = min(index, self._num_bins - 1)
+        (index,) = self.percentile_bins((q,)).tolist()
         lower = index * self._bin_width
         upper = (index + 1) * self._bin_width
         if rounding == "down":
@@ -241,6 +232,29 @@ class IdleTimeHistogram:
         if rounding == "up":
             return upper
         return (lower + upper) / 2.0
+
+    def percentile_bins(self, percentiles: Sequence[float]) -> np.ndarray:
+        """Bin index holding each weighted percentile, from one cumulative sum.
+
+        The bin of percentile ``q`` is the first whose cumulative count
+        reaches ``q / 100 * in_bounds`` (floored at 1e-12), clipped to the
+        last bin: its lower edge is the head cutoff, its upper edge the
+        tail cutoff.
+
+        Raises:
+            ValueError: When a percentile is outside ``[0, 100]`` or the
+                histogram holds no in-bounds observations.
+        """
+        if not all(0 <= q <= 100 for q in percentiles):
+            raise ValueError("percentile must be within [0, 100]")
+        in_bounds = self.in_bounds_count
+        if in_bounds == 0:
+            raise ValueError("histogram has no in-bounds observations")
+        targets = np.asarray(percentiles, dtype=np.float64) / 100.0 * in_bounds
+        index = np.searchsorted(
+            np.cumsum(self._counts), np.maximum(targets, 1e-12), side="left"
+        )
+        return np.minimum(index, self._num_bins - 1)
 
     def head_cutoff(self, percentile: float) -> float:
         """Head of the distribution (pre-warming window), rounded down."""

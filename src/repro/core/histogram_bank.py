@@ -5,9 +5,7 @@ idle-time distribution; the banked simulation engine needs the state of
 *every* application at once so that one numpy operation can update or
 query all of them.  :class:`HistogramBank` is the struct-of-arrays twin:
 
-* per-row bin counts for a 2D ``(num_apps, num_bins)`` layout, stored as
-  **running cumulative counts with a per-row offset baked in** (see
-  below);
+* per-row bin counts for a 2D ``(num_apps, num_bins)`` layout;
 * per-row out-of-bounds (OOB) and total counters;
 * per-row Welford accumulators over the *bin counts* (the
   representativeness CV signal of the hybrid policy), maintained with the
@@ -15,20 +13,44 @@ query all of them.  :class:`HistogramBank` is the struct-of-arrays twin:
   :class:`~repro.core.welford.Welford.replace` so every row's statistics
   are bit-identical to a scalar histogram fed the same observations;
 * vectorized head/tail percentile cutoffs over arbitrary row subsets and
-  over row prefixes (the hot path of the banked policy).
+  over row prefixes (the hot path of the banked policy), answered from
+  per-row **percentile cursors** (see below).
 
 Storage layout
 --------------
-The bank stores ``cum[r, b] = offset[r] + sum(counts[r, :b + 1])`` with
-``offset[r] = r * 2**32``.  Recording an observation in bin ``b`` turns
-into ``cum[r, b:] += 1`` (a broadcast mask add), individual bin counts
-are recovered as adjacent differences, and — the point of the layout —
-the whole matrix read row-major is strictly sorted, so locating the
-percentile bin of every row is **one** exact integer
-:func:`numpy.searchsorted` over a flat view instead of a fresh
-``cumsum`` plus broadcast comparisons per decision step.  The percentile
-targets are integerized with ``ceil`` first, which is exact: cumulative
-counts are integers, so ``count(cum < target) == count(cum < ceil(target))``.
+The bank stores plain bin counts, ``counts[r, b]``, plus each row's
+number of observations inside every tracked range.  Recording an
+observation is a gather of the old count (the Welford replace needs it),
+a ``+1`` scatter, the Welford replace of every tracked range and a few
+counter updates per row and cursor: O(1) per row, not O(bins).  An
+out-of-bounds observation lands in one extra overflow bin past the last,
+which no range and no query reads, so every row of a step takes the same
+path.
+
+Percentile cursors
+------------------
+The percentile bin of a row is the first bin whose cumulative count
+reaches ``thr = ceil(max(q / 100 * n_R, 1e-12))``, where ``n_R`` is the
+row's count inside the range the percentile belongs to.  Integerizing the
+target with ``ceil`` is exact, because cumulative counts are integers.
+With ``n_R >= 1``, ``1 <= thr <= n_R``, so that bin lies inside the
+range; with ``n_R == 0`` the answer is the range's last bin.
+
+Consecutive decisions of one application rarely move a percentile bin,
+so :meth:`HistogramBank.percentile_bins_prefix` does not search from
+scratch.  For every list of percentiles it is asked about, it keeps per
+percentile and row a *cursor*: the bin it answered last, ``at`` (the
+cumulative count up to and including that bin) and ``below`` (the
+cumulative count before it).  An observation in bin ``b`` adds
+``b <= cursor`` to ``at`` and ``b < cursor`` to ``below``, so both stay
+exact.  Cumulative counts never decrease along a row, so the cursor is
+the first bin reaching ``thr`` exactly when ``at >= thr > below``.
+Cursors start at the range's last bin, and a row with ``n_R == 0`` has
+never moved its cursor, so it is still the answer.  Only the cursors
+that fail the check are searched again: the counts of their distinct
+rows are summed end to end into one running total, so a single
+:func:`numpy.searchsorted` finds every new bin, and the totals on either
+side of it reseed ``at`` and ``below``.
 
 Nested ranges
 -------------
@@ -37,9 +59,9 @@ When the bin width is a power of two (so ``idle / width`` is exact) and
 ``R / width`` bins of any wider histogram with the same bin width: an
 idle time lands in one of those bins if and only if it is below ``R``
 (:func:`nests_exactly`).  A bank built with ``nested_ranges`` therefore
-serves every such narrower range from its one cumulative matrix; it only
-keeps a separate Welford accumulator per nested range (updated for the
-observations that fall inside it).
+serves every such narrower range from its one count matrix; it only
+keeps a separate Welford accumulator and in-range count per nested range
+(updated for the observations that fall inside it).
 
 All float arithmetic mirrors the scalar code operation for operation, so
 a bank row and a scalar :class:`IdleTimeHistogram` that observe the same
@@ -50,18 +72,13 @@ property the bank-equivalence test suite locks down.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from repro.core.histogram import IdleTimeHistogram
 from repro.core.welford import Welford
-
-#: Spacing of the per-row offsets baked into the cumulative matrix; must
-#: exceed any single row's total in-bounds count (2**32 observations of
-#: one application is far beyond any trace horizon).
-_ROW_OFFSET_SPACING = np.int64(1) << 32
-
 
 def nests_exactly(range_minutes: float, bin_width_minutes: float) -> bool:
     """Whether a range's histogram is a bin prefix of every wider one.
@@ -73,36 +90,6 @@ def nests_exactly(range_minutes: float, bin_width_minutes: float) -> bool:
     """
     mantissa, _ = math.frexp(bin_width_minutes)
     return mantissa == 0.5 and float(range_minutes / bin_width_minutes).is_integer()
-
-
-def _replace_bin_stat_prefix(
-    mean: np.ndarray,
-    m2: np.ndarray,
-    nb: int,
-    old_values: np.ndarray,
-    new_values: np.ndarray,
-) -> None:
-    """:func:`_replaced_bin_stat` for leading rows, in place.
-
-    ``mean`` and ``m2`` are slice views of the rows to update.  Same
-    per-element arithmetic, operating on the views instead of gathered
-    copies (``maximum(m2, 0)`` equals the scalar ``m2 = 0 if m2 < 0 else
-    m2`` guard — no NaNs can appear here).
-    """
-    if nb == 1:
-        mean[:] = new_values
-        m2[:] = 0.0
-        return
-    # remove(old)
-    old_mean = (nb * mean - old_values) / (nb - 1)
-    np.subtract(m2, (old_values - mean) * (old_values - old_mean), out=m2)
-    np.maximum(m2, 0.0, out=m2)
-    # add(new)
-    delta = new_values - old_mean
-    np.add(old_mean, delta / nb, out=old_mean)
-    delta2 = new_values - old_mean
-    np.add(m2, delta * delta2, out=m2)
-    mean[:] = old_mean
 
 
 def _replaced_bin_stat(
@@ -148,6 +135,22 @@ def _bin_count_cv(nb, mean: np.ndarray, m2: np.ndarray) -> np.ndarray:
     return np.where(zero_mean, np.where(m2 == 0.0, 0.0, np.inf), cv)
 
 
+@dataclass(slots=True)
+class _Cursors:
+    """The percentile cursors of one percentile list (module docstring).
+
+    The per-percentile arrays hold one entry per percentile; ``bin``,
+    ``at`` and ``below`` one row per percentile and a column per bank row.
+    """
+
+    fractions: np.ndarray  #: ``q / 100`` per percentile, as a column
+    ranges: np.ndarray  #: tracked-range index per percentile
+    last_bin: np.ndarray  #: last bin of that range
+    bin: np.ndarray  #: the bin answered last
+    at: np.ndarray  #: cumulative count up to and including ``bin``
+    below: np.ndarray  #: cumulative count before ``bin``
+
+
 class HistogramBank:
     """Fixed-range idle-time histograms for a whole population of apps.
 
@@ -179,13 +182,9 @@ class HistogramBank:
         self._range_minutes = float(range_minutes)
         self._bin_width = float(bin_width_minutes)
         self._num_bins = int(round(self._range_minutes / self._bin_width))
-        # Cumulative-count storage (module docstring): row r starts at its
-        # baked-in offset and each in-bounds observation in bin b adds one
-        # to cum[r, b:].
-        self._offsets = np.arange(self._num_apps, dtype=np.int64) * _ROW_OFFSET_SPACING
-        self._cum = np.repeat(self._offsets[:, None], self._num_bins, axis=1)
-        self._row_starts = np.arange(self._num_apps, dtype=np.int64) * self._num_bins
-        self._bin_grid = np.arange(self._num_bins, dtype=np.int64)
+        # Bin counts plus one overflow bin for out-of-bounds observations
+        # (see _record); nothing reads the overflow bin.
+        self._counts = np.zeros((self._num_apps, self._num_bins + 1), dtype=np.int64)
         self._oob_count = np.zeros(self._num_apps, dtype=np.int64)
         self._total_count = np.zeros(self._num_apps, dtype=np.int64)
         self._row_indices = np.arange(self._num_apps, dtype=np.intp)
@@ -215,10 +214,15 @@ class HistogramBank:
         self._range_bins = np.array(
             [round(r / self._bin_width) for r in self._ranges], dtype=np.int64
         )
+        self._range_of_bins = {int(nb): i for i, nb in enumerate(self._range_bins)}
         self._stat_mean = np.zeros((len(self._ranges), self._num_apps), dtype=np.float64)
         self._stat_m2 = np.zeros_like(self._stat_mean)
         self._bin_mean = self._stat_mean[-1]
         self._bin_m2 = self._stat_m2[-1]
+        # Per-row observation count inside each tracked range, same order.
+        self._range_count = np.zeros((len(self._ranges), self._num_apps), dtype=np.int64)
+        # Percentile cursors per queried (percentiles, num_bins) list.
+        self._cursors: dict[tuple, _Cursors] = {}
 
     # ------------------------------------------------------------------ #
     # Basic properties
@@ -282,8 +286,8 @@ class HistogramBank:
             raise ValueError(f"range {range_minutes:g} is not tracked by this bank") from None
 
     def counts_row(self, row: int) -> np.ndarray:
-        """One row's per-bin counts (reconstructed from the cumulative row)."""
-        return np.diff(self._cum[row], prepend=self._offsets[row])
+        """Copy of one row's per-bin counts."""
+        return self._counts[row, : self._num_bins].copy()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -309,21 +313,7 @@ class HistogramBank:
         idle = np.asarray(idle_times_minutes, dtype=np.float64)
         if np.any(idle < 0):
             raise ValueError("idle time must be non-negative")
-        in_bounds = idle < self._range_minutes
-        self._total_count[rows] += 1
-        rows_oob = rows[~in_bounds]
-        if rows_oob.size:
-            self._oob_count[rows_oob] += 1
-            self._min_oob_row = min(self._min_oob_row, int(rows_oob.min()))
-        rows_in = rows[in_bounds]
-        if rows_in.size:
-            # Same truncation as the scalar bin_index: int() toward zero.
-            bins = np.minimum(
-                (idle[in_bounds] / self._bin_width).astype(np.int64),
-                self._num_bins - 1,
-            )
-            self._record_bins(rows_in, bins, prefix=False)
-        return in_bounds
+        return self._record(rows, idle, prefix=False)
 
     def observe_prefix(self, idle_times_minutes: np.ndarray) -> np.ndarray:
         """Record one idle time for each of the first ``len(idle)`` rows.
@@ -340,74 +330,70 @@ class HistogramBank:
             histogram range.
         """
         idle = np.asarray(idle_times_minutes, dtype=np.float64)
-        n = int(idle.size)
-        in_bounds = idle < self._range_minutes
-        self._total_count[:n] += 1
-        if in_bounds.all():
-            rows_in = self._row_indices[:n]
-            idle_in = idle
-            prefix = True
-        else:
-            oob = ~in_bounds
-            self._oob_count[:n][oob] += 1
-            self._min_oob_row = min(self._min_oob_row, int(np.argmax(oob)))
-            rows_in = self._row_indices[:n][in_bounds]
-            idle_in = idle[in_bounds]
-            prefix = False
-        if rows_in.size:
-            bins = np.minimum(
-                (idle_in / self._bin_width).astype(np.int64), self._num_bins - 1
-            )
-            self._record_bins(rows_in, bins, prefix=prefix)
-        return in_bounds
+        return self._record(self._row_indices[: idle.size], idle, prefix=True)
 
-    def _record_bins(self, rows: np.ndarray, bins: np.ndarray, *, prefix: bool) -> None:
-        """Add one observation to bin ``bins[i]`` of row ``rows[i]``.
+    def _record(self, rows: np.ndarray, idle: np.ndarray, *, prefix: bool) -> np.ndarray:
+        """Add idle time ``idle[i]`` to row ``rows[i]``.
 
-        Reads the previous bin count from adjacent cumulative differences
-        (the baked-in row offsets cancel, except for bin 0 where the left
-        neighbour *is* the offset), updates the Welford statistics with the
-        exact scalar replace sequence, then bumps the cumulative suffixes.
+        Gathers each observation's previous bin count, bumps it, replays
+        the exact scalar Welford replace for every tracked range the
+        observation falls inside, and bumps the in-range counts and every
+        percentile cursor's bracketing counts (module docstring).  An
+        out-of-bounds observation goes to the overflow bin ``num_bins``,
+        which lies outside every range and past every cursor, so one
+        scatter serves every row and the masks drop it from the rest.
 
         Args:
             rows: Row index per observation.
-            bins: Bin index per observation.
+            idle: Non-negative idle time per observation.
             prefix: True when (and only when) ``rows`` is exactly
-                ``0..len(rows)-1``, enabling in-place slice updates with no
-                gather/scatter.
+                ``0..len(rows)-1``, enabling in-place slice updates of the
+                per-row state.
+
+        Returns:
+            Boolean array: True where the idle time landed inside the
+            histogram range.
         """
-        cum = self._cum
-        right = cum[rows, bins]
-        left = np.where(
-            bins > 0, cum[rows, np.maximum(bins - 1, 0)], self._offsets[rows]
-        )
-        old = (right - left).astype(np.float64)
-        new = old + 1.0
-        mask = self._bin_grid >= bins[:, None]
-        k = rows.size
+        columns = slice(None, rows.size) if prefix else rows
+        in_bounds = idle < self._range_minutes
+        self._total_count[columns] += 1
+        everything_in = in_bounds.all()
+        if not everything_in:
+            out = ~in_bounds
+            self._oob_count[columns] += out
+            first = int(np.argmax(out)) if prefix else int(rows[out].min())
+            self._min_oob_row = min(self._min_oob_row, first)
+            idle = np.where(in_bounds, idle, 0.0)
+        # Same truncation as the scalar bin_index: int() toward zero.
+        bins = np.minimum((idle / self._bin_width).astype(np.int64), self._num_bins - 1)
+        if not everything_in:
+            bins[out] = self._num_bins
+        flat = self._counts.reshape(-1)
+        positions = rows * (self._num_bins + 1) + bins
+        old_counts = flat[positions]
+        flat[positions] = old_counts + 1
+        old = old_counts.astype(np.float64)
+        # A nested range sees exactly the observations in its leading bins,
+        # and the count it replaces is the wide bin's (the bins coincide).
+        # Every range updates at once and keeps its old state where the
+        # observation fell outside it.
+        nb = self._range_bins[:, None]
+        inside = bins < nb
+        mean = self._stat_mean[:, columns]
+        m2 = self._stat_m2[:, columns]
+        new_mean, new_m2 = _replaced_bin_stat(mean, m2, nb, old, old + 1.0)
         if prefix:
-            _replace_bin_stat_prefix(
-                self._bin_mean[:k], self._bin_m2[:k], self._num_bins, old, new
-            )
-            cum[:k] += mask
+            np.copyto(mean, new_mean, where=inside)
+            np.copyto(m2, new_m2, where=inside)
         else:
-            self._bin_mean[rows], self._bin_m2[rows] = _replaced_bin_stat(
-                self._bin_mean[rows], self._bin_m2[rows], self._num_bins, old, new
-            )
-            cum[rows] += mask
-        if len(self._ranges) > 1:
-            # A nested range sees exactly the observations in its leading
-            # bins, and the count it replaces is the wide bin's (the bins
-            # coincide).  All nested ranges update at once; each keeps its
-            # old state where the observation fell outside it.
-            columns = slice(None, k) if prefix else rows
-            nb = self._range_bins[:-1, None]
-            mean = self._stat_mean[:-1, columns]
-            m2 = self._stat_m2[:-1, columns]
-            new_mean, new_m2 = _replaced_bin_stat(mean, m2, nb, old, new)
-            inside = bins < nb
-            self._stat_mean[:-1, columns] = np.where(inside, new_mean, mean)
-            self._stat_m2[:-1, columns] = np.where(inside, new_m2, m2)
+            self._stat_mean[:, rows] = np.where(inside, new_mean, mean)
+            self._stat_m2[:, rows] = np.where(inside, new_m2, m2)
+        self._range_count[:, columns] += inside
+        for cursors in self._cursors.values():
+            cursor = cursors.bin[:, columns]
+            cursors.at[:, columns] += bins <= cursor
+            cursors.below[:, columns] += bins < cursor
+        return in_bounds
 
     # ------------------------------------------------------------------ #
     # Derived statistics
@@ -446,9 +432,9 @@ class HistogramBank:
         """In-bounds counts of the first ``n`` rows for every tracked range.
 
         Shape ``(ranges, n)`` in :meth:`bin_count_cvs_prefix` order: a
-        range's in-bounds count is its last bin's cumulative count.
+        range's in-bounds count is its number of observations inside it.
         """
-        return (self._cum[:n, self._range_bins - 1] - self._offsets[:n, None]).T
+        return self._range_count[:, :n].copy()
 
     def head_tail_cutoffs(
         self, rows: np.ndarray, head_percentile: float, tail_percentile: float
@@ -470,7 +456,7 @@ class HistogramBank:
         in_bounds = self._total_count[rows] - self._oob_count[rows]
         if np.any(in_bounds == 0):
             raise ValueError("histogram has no in-bounds observations")
-        cumulative = self._cum[rows] - self._offsets[rows, None]
+        cumulative = np.cumsum(self._counts[rows, : self._num_bins], axis=1)
 
         def percentile_bin(q: float) -> np.ndarray:
             target = np.maximum(q / 100.0 * in_bounds, 1e-12)
@@ -490,11 +476,9 @@ class HistogramBank:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Head/tail cutoffs for the first ``n`` rows, without validation.
 
-        The hot path of the banked policy: one exact integer
-        ``searchsorted`` over the flat cumulative view locates both
-        percentile bins of every row (see the module docstring for why
-        this is exact).  No per-call argument checks — the policy
-        validates its percentiles once.  Rows with no in-bounds
+        The hot path of the banked policy, answered by
+        :meth:`percentile_bins_prefix`.  No per-call argument checks — the
+        policy validates its percentiles once.  Rows with no in-bounds
         observations yield finite garbage instead of raising; the caller
         masks them out.
 
@@ -521,46 +505,122 @@ class HistogramBank:
     ) -> np.ndarray:
         """Percentile bin indices for the first ``n`` rows, without validation.
 
-        Locates the weighted-percentile bin of every (percentile, row)
-        pair with **one** exact integer :func:`numpy.searchsorted` over
-        the flat cumulative view — the batched form of the hot path, used
-        by the sweep engine to record every distinct cutoff percentile of
-        a policy family in one pass.  Same per-element arithmetic as
-        :meth:`head_tail_cutoffs_prefix` (which delegates here): target is
-        ``(q / 100) * in_bounds`` floored at 1e-12, integerized with
-        ``ceil`` (exact, the cumulative counts are integers).  Rows with
-        no in-bounds observations yield finite garbage instead of
-        raising; the caller masks them out.
+        The batched hot path, used by the sweep engine to record every
+        distinct cutoff percentile of a policy family in one pass and by
+        :meth:`head_tail_cutoffs_prefix`.  The first call for a given
+        ``(percentiles, num_bins)`` list creates its percentile cursors;
+        every call answers from them and searches again only the cursors
+        that no longer bracket their target (module docstring).  The
+        target is ``(q / 100) * in_bounds`` floored at 1e-12, integerized
+        with ``ceil``.  Rows with no in-bounds observations yield finite
+        garbage instead of raising; the caller masks them out.
 
         Args:
             n: Number of leading rows to compute bins for.
             percentiles: Percentile values in ``[0, 100]``.
             in_bounds: Optional precomputed per-row in-bounds counts, shape
                 ``(n,)``, or ``(len(percentiles), n)`` when the percentiles
-                belong to different nested ranges.
+                belong to different nested ranges (default: each row's
+                count inside each percentile's range).
             num_bins: Optional per-percentile bin count of the range each
-                percentile belongs to (default: the bank's own).  A nested
-                range's cumulative counts are the leading bins of the wide
-                row and never exceed its in-bounds count beyond them, so
-                the one search stays exact once clipped to that range.
+                percentile belongs to, one of the tracked ranges' (default:
+                the bank's own).
 
         Returns:
             Integer array of shape ``(len(percentiles), n)``: the bin
-            index of each percentile per row, clipped to the last bin.
-            The head cutoff is ``bin * bin_width`` and the tail cutoff
-            ``(bin + 1) * bin_width``.
+            index of each percentile per row, clipped to the range's last
+            bin.  The head cutoff is ``bin * bin_width`` and the tail
+            cutoff ``(bin + 1) * bin_width``.
+
+        Raises:
+            ValueError: When a ``num_bins`` entry matches no tracked range.
         """
+        cursors = self._cursors_for(percentiles, num_bins)
+        counted = self._range_count[cursors.ranges, :n]
         if in_bounds is None:
-            in_bounds = self._total_count[:n] - self._oob_count[:n]
-        flat = self._cum[:n].reshape(-1)
+            in_bounds = counted
+        target = np.maximum(cursors.fractions * in_bounds, 1e-12)
+        # For integer counts, ``at >= ceil(target)`` is ``at >= target``
+        # and ``ceil(target) > below`` is ``target > below``.
+        stale = (cursors.at[:, :n] < target) | (cursors.below[:, :n] >= target)
+        stale &= counted > 0
+        if stale.any():
+            self._search(cursors, stale, target)
+        return cursors.bin[:, :n].copy()
+
+    def _cursors_for(
+        self, percentiles: np.ndarray | tuple[float, ...], num_bins: np.ndarray | None
+    ) -> _Cursors:
+        """The cursors of one percentile list, created at the last bin."""
         qs = np.asarray(percentiles, dtype=np.float64)
-        target = np.maximum(qs[:, None] / 100.0 * in_bounds, 1e-12)
-        threshold = np.ceil(target).astype(np.int64) + self._offsets[:n]
-        index = np.searchsorted(flat, threshold.reshape(-1), side="left")
-        index = index.reshape(qs.size, n) - self._row_starts[:n]
-        if num_bins is None:
-            return np.minimum(index, self._num_bins - 1)
-        return np.minimum(index, np.asarray(num_bins, dtype=np.int64)[:, None] - 1)
+        bins = None if num_bins is None else np.asarray(num_bins, dtype=np.int64)
+        key = (qs.tobytes(), None if bins is None else bins.tobytes())
+        cursors = self._cursors.get(key)
+        if cursors is not None:
+            return cursors
+        if bins is None:
+            ranges = np.full(qs.size, len(self._ranges) - 1, dtype=np.intp)
+        else:
+            try:
+                ranges = np.array(
+                    [self._range_of_bins[nb] for nb in bins.tolist()], dtype=np.intp
+                )
+            except KeyError as error:
+                raise ValueError(
+                    f"{error.args[0]} bins is not a range tracked by this bank"
+                ) from None
+        last_bin = self._range_bins[ranges]
+        last_bin -= 1
+        # At the last bin of a range, the cumulative count is the row's
+        # in-range count and the count before it excludes that bin.
+        at = self._range_count[ranges]
+        cursors = _Cursors(
+            fractions=qs[:, None] / 100.0,
+            ranges=ranges,
+            last_bin=last_bin,
+            bin=np.repeat(last_bin[:, None], self._num_apps, axis=1),
+            at=at,
+            below=at - self._counts[:, last_bin].T,
+        )
+        self._cursors[key] = cursors
+        return cursors
+
+    def _search(self, cursors: _Cursors, stale: np.ndarray, target: np.ndarray) -> None:
+        """Move the stale cursors to the first bin reaching their target.
+
+        The count rows of the distinct stale rows are summed end to end
+        into one running total, after a leading zero, so one
+        :func:`numpy.searchsorted` serves them all: a row's cumulative
+        counts are its stretch of the total minus the entry before it.  A
+        threshold beyond its row's in-range count lands past the range
+        and is clipped to the range's last bin.
+        """
+        pair, row = np.nonzero(stale)
+        missed = np.zeros(stale.shape[1], dtype=bool)
+        missed[row] = True
+        rows = np.flatnonzero(missed)
+        stride = self._num_bins + 1
+        total = np.zeros(rows.size * stride + 1, dtype=np.int64)
+        # Gathered straight into the total's buffer (``mode="clip"`` skips
+        # the buffered copy ``take`` makes by default; the rows are valid),
+        # then summed in place.
+        np.take(
+            self._counts, rows, axis=0, out=total[1:].reshape(rows.size, stride), mode="clip"
+        )
+        np.cumsum(total, out=total)
+        start = np.cumsum(missed)[row]
+        start -= 1
+        start *= stride
+        before = total[start]
+        threshold = np.ceil(target[pair, row]).astype(np.int64)
+        threshold += before
+        index = np.searchsorted(total, threshold, side="left")
+        index -= start + 1
+        np.minimum(index, cursors.last_bin[pair], out=index)
+        position = start + index
+        cursors.bin[pair, row] = index
+        cursors.below[pair, row] = total[position] - before
+        cursors.at[pair, row] = total[position + 1] - before
 
     # ------------------------------------------------------------------ #
     # Interop with the scalar histogram
@@ -576,10 +636,9 @@ class HistogramBank:
         """
         index = self._index(range_minutes)
         nb = int(self._range_bins[index])
-        counts = self.counts_row(row)[:nb]
         return IdleTimeHistogram.from_state(
-            counts,
-            oob_count=int(self._total_count[row]) - int(counts.sum()),
+            self._counts[row, :nb],
+            oob_count=int(self._total_count[row] - self._range_count[index, row]),
             range_minutes=self._ranges[index],
             bin_width_minutes=self._bin_width,
             bin_stats=Welford(

@@ -208,8 +208,13 @@ class HybridHistogramPolicy(KeepAlivePolicy):
         return decision, PolicyMode.STANDARD_KEEPALIVE
 
     def _histogram_decision(self) -> tuple[PolicyDecision, PolicyMode]:
-        head = self.histogram.head_cutoff(self.config.head_percentile)
-        tail = self.histogram.tail_cutoff(self.config.tail_percentile)
+        # head_cutoff / tail_cutoff of both percentiles, from one cumsum.
+        head_bin, tail_bin = self.histogram.percentile_bins(
+            (self.config.head_percentile, self.config.tail_percentile)
+        ).tolist()
+        width = self.histogram.bin_width_minutes
+        head = head_bin * width
+        tail = (tail_bin + 1) * width
         prewarm = head * (1.0 - self.config.prewarm_margin)
         keepalive_end = tail * (1.0 + self.config.keepalive_margin)
         if prewarm < self.config.bin_width_minutes:

@@ -7,7 +7,8 @@ sweep's configurations share almost all of their work:
   the no-unloading bound) sees the same per-application idle gaps — only
   the window length ``K`` changes.  :func:`_evaluate_constant_family`
   resolves the flat timestamp columns once and evaluates every ``K`` in
-  closed form against them.
+  closed form against them, summing every application's terms with one
+  segmented reduction.
 * every **hybrid histogram** policy with one bin width shares its
   trace-derived state: histogram contents, the bin-count CV trajectory,
   and the idle-time (ARIMA) forecasts depend only on the trace, never on
@@ -25,7 +26,10 @@ sweep's configurations share almost all of their work:
   with the same scalar drain for the few longest applications), tracking
   every narrower range's Welford state alongside, and records, per
   invocation and per range, the CV and the percentile bin of every
-  distinct cutoff percentile that range's configurations use.  Each
+  distinct cutoff percentile that range's configurations use.  A step
+  costs O(1) per active row and percentile: the bank keeps plain bin
+  counts and answers percentiles from cursors, searching again only the
+  few whose bin moved since the application's previous decision.  Each
   configuration is then evaluated as pure decision *masks* over its
   range's recordings — flat vectorized passes with no per-step loop —
   and ARIMA forecasts are computed lazily, once per (application,
@@ -316,9 +320,12 @@ def _evaluate_constant_family(
     decision (``K = inf`` models no-unloading): an arrival at or before
     the window's expiry is warm (``PolicyDecision.covers``), and the idle
     loaded time is the part of the window elapsed before the next arrival,
-    clipped to the horizon.  Only the summation differs — numpy's
-    pairwise sum over each application's terms instead of sequential
-    accumulation — which stays well within 1e-9 of the scalar totals.
+    clipped to the horizon.  Each gap's terms sit at the position of the
+    invocation ending it, so an application's segment starts with a zero
+    and one ``reduceat`` over the segment starts sums every application;
+    only the summation differs from the scalar loop — numpy's pairwise
+    sum instead of sequential accumulation — which stays well within 1e-9
+    of the scalar totals.
     """
     horizon = simulator.horizon_minutes
     times_list = [simulator.validate_times(item.times) for item in items]
@@ -329,49 +336,51 @@ def _evaluate_constant_family(
     offsets = np.zeros(len(items), dtype=np.int64)
     if len(items):
         np.cumsum(counts[:-1], out=offsets[1:])
-    starts = flat[:-1]
+    populated = counts > 0
+    starts = offsets[populated]
+    lasts = starts + counts[populated] - 1
+    gap_starts = flat[:-1]
     arrivals = flat[1:]
+    # Per-invocation rows, overwritten for every K: position i holds the
+    # gap ending at invocation i, and each application's first position
+    # (which pairs it with the previous application) is zeroed.
+    cold = np.zeros(flat.size, dtype=bool)
+    terms = np.zeros(flat.size, dtype=np.float64)
 
     results: dict[str, list[AppSimResult]] = {}
     for factory in factories:
         keepalive = float(factory.family_config)
-        window_end = starts + keepalive
-        cold_gap = arrivals > window_end
-        effective_end = np.minimum(np.minimum(window_end, arrivals), horizon)
-        waste_terms = np.maximum(effective_end - starts, 0.0)
-        app_results: list[AppSimResult] = []
-        for index, item in enumerate(items):
-            n = int(counts[index])
-            if n == 0:
-                app_results.append(
-                    AppSimResult(
-                        app_id=item.app_id,
-                        invocations=0,
-                        cold_starts=0,
-                        wasted_memory_minutes=0.0,
-                        memory_mb=item.memory_mb,
-                    )
-                )
-                continue
-            o = int(offsets[index])
-            # Gap terms live at flat positions [o, o + n - 1); the entry at
-            # o + n - 1 pairs this app's last invocation with the next
-            # app's first and is never read.
-            cold_starts = int(np.count_nonzero(cold_gap[o : o + n - 1]))
+        cold_starts: list[int] = []
+        wasted_minutes: list[float] = []
+        if starts.size:
+            window_end = gap_starts + keepalive
+            np.greater(arrivals, window_end, out=cold[1:])
+            cold[starts] = False
+            np.minimum(window_end, arrivals, out=window_end)
+            np.minimum(window_end, horizon, out=window_end)
+            window_end -= gap_starts
+            np.maximum(window_end, 0.0, out=terms[1:])
+            terms[starts] = 0.0
+            cold_per_app = np.add.reduceat(cold, starts, dtype=np.int64)
             if simulator.first_invocation_cold:
-                cold_starts += 1
-            wasted = float(np.sum(waste_terms[o : o + n - 1]))
+                cold_per_app += 1
+            wasted = np.add.reduceat(terms, starts)
             if simulator.count_tail_waste:
-                last = flat[o + n - 1]
-                tail_end = min(last + keepalive, horizon)
-                if tail_end > last:
-                    wasted += tail_end - float(last)
+                last = flat[lasts]
+                tail_end = np.minimum(last + keepalive, horizon)
+                wasted += np.where(tail_end > last, tail_end - last, 0.0)
+            cold_starts = cold_per_app.tolist()
+            wasted_minutes = wasted.tolist()
+        per_app = iter(zip(cold_starts, wasted_minutes))
+        app_results: list[AppSimResult] = []
+        for item, n in zip(items, counts.tolist()):
+            cold_count, waste = next(per_app) if n else (0, 0.0)
             app_results.append(
                 AppSimResult(
                     app_id=item.app_id,
                     invocations=n,
-                    cold_starts=cold_starts,
-                    wasted_memory_minutes=wasted,
+                    cold_starts=cold_count,
+                    wasted_memory_minutes=waste,
                     memory_mb=item.memory_mb,
                 )
             )
@@ -419,13 +428,19 @@ def _record_hybrid_family(
     stepped in lockstep prefixes through one :class:`HistogramBank` at
     the widest range, which tracks every narrower range as a nested range
     (exact under :func:`~repro.core.histogram_bank.nests_exactly`, which
-    the sweep key guarantees whenever a family has several ranges).  Once
-    ``drain_threshold`` or fewer rows remain active, each survivor is
-    cloned into one scalar :class:`~repro.core.histogram.IdleTimeHistogram`
-    per range (:meth:`HistogramBank.extract_row` preserves the exact
-    Welford state) and recorded to the end through the scalar code path —
-    both paths produce bit-identical CV and percentile-bin trajectories,
-    which the bank-equivalence suite locks down.
+    the sweep key guarantees whenever a family has several ranges).  A
+    step records one bin count per active row, and the percentile bins
+    of every (range, percentile) pair come from the bank's percentile
+    cursors: consecutive decisions of one application rarely move a bin,
+    so only the few cursors that moved are searched again
+    (:mod:`repro.core.histogram_bank`).  Once ``drain_threshold`` or
+    fewer rows remain active, each survivor is cloned into one scalar
+    :class:`~repro.core.histogram.IdleTimeHistogram` per range
+    (:meth:`HistogramBank.extract_row` preserves the exact Welford state)
+    and recorded to the end through the scalar code path, one cumulative
+    sum per decision for all of the range's percentiles.  Both paths
+    produce bit-identical CV and percentile-bin trajectories, which the
+    bank- and sweep-equivalence suites lock down.
     """
     num = len(items)
     times_list = [simulator.validate_times(item.times) for item in items]
@@ -452,11 +467,10 @@ def _record_hybrid_family(
         bin_width_minutes=bin_width_minutes,
         nested_ranges=ranges[:-1],
     )
-    # Every (range, percentile) pair is searched in one batch per step;
-    # the bank tracks the ranges in this same ascending order.
+    # Every (range, percentile) pair is answered in one batch per step,
+    # each from its own range's leading bins.
     pairs = [(r, q) for r, qs in range_qs.items() for q in qs]
     pair_qs = np.array([q for _, q in pairs], dtype=np.float64)
-    pair_range = np.array([ranges.index(r) for r, _ in pairs], dtype=np.intp)
     pair_bins = np.array([bank.num_bins_for(r) for r, _ in pairs], dtype=np.int64)
 
     # One row per range (CV) and per pair (bins), filled a step at a time;
@@ -488,9 +502,8 @@ def _record_hybrid_family(
         if step > 0:
             bank.observe_prefix(flat[positions] - flat[positions - 1])
         cv_rows[:, positions] = bank.bin_count_cvs_prefix(active)
-        in_bounds = bank.in_bounds_prefix(active)[pair_range]
         bin_rows[:, positions] = bank.percentile_bins_prefix(
-            active, pair_qs, in_bounds, pair_bins
+            active, pair_qs, num_bins=pair_bins
         )
 
     # Observation counters are pure gap counts; compute them flat instead
@@ -551,21 +564,13 @@ def _drain_row(
     ``times`` are the application's timestamps; ``cv`` and each array in
     ``bins`` are indexed by invocation from the application's first.
     """
-    qs_fraction = np.array([q for q, _ in bins], dtype=np.float64) / 100.0
+    percentiles = [q for q, _ in bins]
     for k in range(step, times.size):
         if k > 0:
             histogram.observe(float(times[k] - times[k - 1]))
         cv[k] = histogram.bin_count_cv
-        in_bounds = histogram.in_bounds_count
-        if in_bounds:
-            # The scalar percentile() bin search, batched over every
-            # distinct percentile of this range.
-            cumulative = np.cumsum(histogram.counts)
-            targets = np.maximum(qs_fraction * in_bounds, 1e-12)
-            indices = np.minimum(
-                np.searchsorted(cumulative, targets, side="left"),
-                histogram.num_bins - 1,
-            )
+        if histogram.in_bounds_count:
+            indices = histogram.percentile_bins(percentiles).tolist()
             for (_, recorded), index in zip(bins, indices):
                 recorded[k] = index
 

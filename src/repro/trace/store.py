@@ -968,7 +968,9 @@ class InvocationStore:
             if mapped is not None:
                 arrays.update(mapped)
         try:
-            with np.load(path) as archive:
+            # np.load leaves a file it opened itself unclosed when the zip
+            # directory is unreadable; an owned handle is always closed.
+            with open(path, "rb") as handle, np.load(handle) as archive:
                 members = set(archive.files)
                 missing = _STORE_MEMBERS - members
                 if missing:

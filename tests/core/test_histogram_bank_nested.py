@@ -8,13 +8,19 @@ observation stream — fed through either the lockstep prefix path or the
 row-subset path — each range's CV, percentile bins, in-bounds count, and
 extracted scalar clone equal those of a scalar
 ``IdleTimeHistogram(range=R)`` fed the same idle times, bit for bit.
+
+The bank answers percentile queries from cursors it keeps between calls
+(:mod:`repro.core.histogram_bank`), so a second property drives those
+cursors far — runs of idle times that jump between distant bins, rows
+that sit out or see only out-of-range gaps — and checks every answer
+against a stateless search over the same counts.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.histogram import IdleTimeHistogram
@@ -126,3 +132,116 @@ class TestNestedRanges:
         bank = HistogramBank(2, range_minutes=240.0, nested_ranges=[60.0])
         with pytest.raises(ValueError, match="not tracked"):
             bank.extract_row(0, 120.0)
+        with pytest.raises(ValueError, match="not a range tracked"):
+            bank.percentile_bins_prefix(2, [5.0], num_bins=[120])
+
+
+def fresh_search_bins(histograms, pairs, width):
+    """Percentile bins from a fresh cumsum and search of each row's counts.
+
+    ``histograms`` are scalar histograms at the widest range; a pair's
+    range is the leading ``range / width`` bins, and a row with nothing
+    in it answers the range's last bin.
+    """
+    bins = np.empty((len(pairs), len(histograms)), dtype=np.int64)
+    for row, histogram in enumerate(histograms):
+        cumulative = np.cumsum(histogram.counts)
+        for i, (r, q) in enumerate(pairs):
+            nb = round(r / width)
+            target = max(q / 100.0 * int(cumulative[nb - 1]), 1e-12)
+            index = int(np.searchsorted(cumulative, target, side="left"))
+            bins[i, row] = min(index, nb - 1)
+    return bins
+
+
+@st.composite
+def cursor_runs(draw):
+    """Runs of idle times that move percentile cursors far, down and up.
+
+    Every row's idle times come from a few far-apart spots: the first
+    bin, both ends of the narrowest range, the middle and last bin of the
+    widest range, and beyond every range.  A run repeats one choice per
+    row a few times, so a percentile's bin jumps across runs of empty
+    bins whenever the mix shifts.  A row may sit a run out (``None``),
+    every row starts empty, and some runs leave a range, or the whole
+    histogram, without in-range observations.  Each run also picks how
+    many leading rows its queries cover.
+    """
+    width = draw(st.sampled_from([0.5, 1.0, 2.0]))
+    bin_counts = draw(
+        st.lists(st.integers(1, 24), min_size=1, max_size=3, unique=True)
+    )
+    ranges = sorted(count * width for count in bin_counts)
+    widest = ranges[-1]
+    spots = sorted(
+        {
+            0.0,
+            ranges[0] - width,
+            ranges[0],
+            (widest // (2 * width)) * width,
+            widest - width,
+            widest,
+            3.0 * widest,
+        }
+    )
+    spot = st.one_of(st.none(), st.sampled_from(spots))
+    runs = draw(
+        st.lists(
+            st.tuples(
+                st.lists(spot, min_size=ROWS, max_size=ROWS),
+                st.integers(1, 6),
+                st.integers(1, ROWS),
+            ),
+            max_size=12,
+        )
+    )
+    return width, ranges, runs
+
+
+class TestPercentileCursors:
+    @settings(deadline=None, max_examples=100)
+    @given(case=cursor_runs())
+    # Every percentile leaves the first bin for the last one and comes back.
+    @example(
+        case=(
+            1.0,
+            [4.0, 8.0],
+            [([0.0] * ROWS, 3, ROWS), ([7.0] * ROWS, 6, ROWS), ([0.0] * ROWS, 6, ROWS)],
+        )
+    )
+    def test_cursors_match_a_fresh_search_at_every_step(self, case):
+        width, ranges, runs = case
+        bank = HistogramBank(
+            ROWS,
+            range_minutes=ranges[-1],
+            bin_width_minutes=width,
+            nested_ranges=ranges[:-1],
+        )
+        scalars = [IdleTimeHistogram(ranges[-1], width) for _ in range(ROWS)]
+        pairs = [(r, q) for r in ranges for q in PERCENTILES]
+        percentiles = [q for _, q in pairs]
+        num_bins = [bank.num_bins_for(r) for r, _ in pairs]
+        # The banked policy's query: its own range, in-bounds counts given.
+        own = [(ranges[-1], q) for q in (5.0, 99.0)]
+
+        def check(n):
+            expected = fresh_search_bins(scalars, pairs, width)[:, :n]
+            got = bank.percentile_bins_prefix(n, percentiles, num_bins=num_bins)
+            assert np.array_equal(got, expected)
+
+        check(ROWS)
+        for spots, repeat, queried in runs:
+            rows = np.array([row for row, s in enumerate(spots) if s is not None])
+            idle = np.array([spots[row] for row in rows], dtype=np.float64)
+            for _ in range(repeat):
+                if rows.size == ROWS:
+                    bank.observe_prefix(idle)
+                elif rows.size:
+                    bank.observe(rows, idle)
+                for row, value in zip(rows, idle):
+                    scalars[row].observe(float(value))
+                check(queried)
+            in_bounds = bank.in_bounds_prefix(ROWS)[-1]
+            got = bank.percentile_bins_prefix(ROWS, [q for _, q in own], in_bounds)
+            assert np.array_equal(got, fresh_search_bins(scalars, own, width))
+        check(ROWS)

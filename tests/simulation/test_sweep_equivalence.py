@@ -32,6 +32,8 @@ from repro.policies.registry import (
     hybrid_factory,
     no_unloading_factory,
 )
+from repro.simulation.coldstart import DEFAULT_SCALAR_DRAIN_THRESHOLD
+from repro.simulation.engine import SimulationEngine
 from repro.simulation.runner import PolicyComparison, RunnerOptions, WorkloadRunner
 from repro.simulation.sweep import (
     FIGURE_16_CUTOFFS,
@@ -228,6 +230,63 @@ class TestFamilyEquivalence:
             assert list(other) == list(family)
             for name, result in family.items():
                 assert other[name].app_results == result.app_results, (options, name)
+
+    @pytest.mark.parametrize("width", [1.0, 0.5])
+    def test_fig15_recording_matches_scalar_histograms(self, width):
+        """The shared recording of the fig15 ranges, byte for byte.
+
+        Forty applications keep the lockstep bank stepping for over a
+        hundred steps before the longest ones finish in the scalar drain.
+        Every recorded CV, percentile bin and OOB count equals that of a
+        scalar histogram of its range fed the same gaps.  A bin recorded
+        with nothing in range is the range's last bin while the bank
+        steps and stays 0 in the drain; the policy masks both out.
+        """
+        streams = random_app_streams(2021, num_apps=40)
+        workload = make_workload(
+            {app_id: list(times) for app_id, times in streams.items()},
+            duration_minutes=HORIZON,
+        )
+        engine = SimulationEngine(workload, RunnerOptions())
+        items = engine.work_items()
+        ranges = sorted(
+            factory.family_config.histogram_range_minutes
+            for factory in figure_factories("fig15")
+            if factory.sweep_key and factory.sweep_key[0] == FAMILY_HYBRID_HISTOGRAM
+        )
+        percentiles = {r: (0.0, 5.0, 99.0, 100.0) for r in ranges}
+        recording = sweep_engine_module._record_hybrid_family(
+            items, engine.simulator, width, percentiles
+        )
+        # Rows are longest-first, so the bank steps while more than the
+        # drain threshold of them are active: before the count of the row
+        # just past the threshold.
+        counts = recording.counts
+        steps_in_bank = int(counts[DEFAULT_SCALAR_DRAIN_THRESHOLD])
+        assert 100 < steps_in_bank < int(counts[0])  # both paths run
+
+        for r in ranges:
+            cv = np.zeros(recording.times.size)
+            oob = np.zeros(recording.times.size, dtype=np.int64)
+            bins = np.zeros((len(percentiles[r]), recording.times.size), dtype=np.int64)
+            for row, index in enumerate(recording.order):
+                times = items[index].times
+                o = int(recording.offsets[row])
+                histogram = IdleTimeHistogram(r, width)
+                for k in range(times.size):
+                    if k:
+                        histogram.observe(float(times[k] - times[k - 1]))
+                    cv[o + k] = histogram.bin_count_cv
+                    oob[o + k] = histogram.oob_count
+                    if histogram.in_bounds_count:
+                        bins[:, o + k] = histogram.percentile_bins(percentiles[r])
+                    elif k < steps_in_bank:
+                        bins[:, o + k] = histogram.num_bins - 1
+            assert recording.cv[r].tobytes() == cv.tobytes()
+            assert np.array_equal(recording.oob[r], oob)
+            for q, expected in zip(percentiles[r], bins):
+                recorded = recording.bins[(r, q)]
+                assert recorded.tobytes() == expected.astype(recorded.dtype).tobytes()
 
     def test_inexact_geometry_families(self, streams_workload):
         """Per-range families (no nesting) still match per-config runs."""
