@@ -38,18 +38,54 @@ from __future__ import annotations
 import json
 import os
 import platform
+import subprocess
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.experiments import ExperimentContext, ExperimentScale
 from repro.simulation.engine import RunnerOptions
 
+#: The repository checkout whose commit every entry names.
+REPO_ROOT = Path(__file__).resolve().parent.parent
+
 #: Machine-readable performance trajectory, appended to by the speedup
 #: benchmarks (see :func:`record_bench_result`).  Lives at the repo root
 #: so successive runs accumulate a history of the measured speedups.
-BENCH_RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_results.json"
+BENCH_RESULTS_PATH = REPO_ROOT / "BENCH_results.json"
+
+
+def bench_environment() -> dict:
+    """Where a number was measured: Python, cores, numpy, numba, commit.
+
+    The commit is ``"unknown"`` outside a git checkout.
+    """
+    try:
+        import numba  # noqa: F401
+
+        has_numba = True
+    except ImportError:
+        has_numba = False
+    try:
+        commit = subprocess.run(
+            ["git", "rev-parse", "HEAD"],
+            cwd=REPO_ROOT,
+            capture_output=True,
+            text=True,
+            timeout=10,
+            check=True,
+        ).stdout.strip()
+    except (OSError, subprocess.SubprocessError):
+        commit = ""
+    return {
+        "python": platform.python_version(),
+        "cpu_count": os.cpu_count(),
+        "numpy": np.__version__,
+        "numba": has_numba,
+        "commit": commit or "unknown",
+    }
 
 
 def record_bench_result(name: str, *, speedup: float | None = None, **details) -> None:
@@ -58,7 +94,7 @@ def record_bench_result(name: str, *, speedup: float | None = None, **details) -
     Each entry records the benchmark name, the measured speedup (when the
     benchmark asserts one), any extra details the benchmark chooses to
     keep (timings, workload shape, compiled-path availability), and
-    enough environment context to interpret the number later.  The file
+    the environment it ran in (:func:`bench_environment`).  The file
     holds a JSON list and is append-only: re-runs add entries rather than
     overwrite, so the file is the perf trajectory across sessions.
     """
@@ -73,7 +109,7 @@ def record_bench_result(name: str, *, speedup: float | None = None, **details) -
     entry: dict = {
         "name": name,
         "recorded_unix": round(time.time(), 3),
-        "python": platform.python_version(),
+        **bench_environment(),
     }
     if speedup is not None:
         entry["speedup"] = round(float(speedup), 3)

@@ -129,8 +129,12 @@ def _recorded_failure(entry: dict) -> bool:
 
 
 def _cpu_count(entry: dict) -> object:
+    """The entry's core count: top level since entries name their
+    environment, among the details in older entries."""
     details = entry.get("details")
-    return details.get("cpu_count") if isinstance(details, dict) else None
+    return entry.get(
+        "cpu_count", details.get("cpu_count") if isinstance(details, dict) else None
+    )
 
 
 def find_regressions(

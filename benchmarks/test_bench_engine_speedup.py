@@ -177,10 +177,10 @@ def _banked_run(workload, *, batched_arima: bool):
     the baseline the stacked fitter must beat.
     """
     engine = SimulationEngine(workload)
-    items = engine.work_items()
+    chunk = engine.csr_slice()
     return engine.simulator.simulate_apps_banked(
-        [item.app_id for item in items],
-        [item.times for item in items],
+        list(chunk.app_ids),
+        chunk.app_times(),
         lambda num_apps: HybridPolicyBank(
             num_apps, ARIMA_HEAVY_CONFIG, batched_arima=batched_arima
         ),

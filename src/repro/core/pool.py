@@ -21,46 +21,125 @@ Two dispatch shapes:
 
 Both fall back to an in-process loop — same results, same order — when
 one worker is requested or the platform lacks ``fork``.
+
+A worker that dies mid-run (killed, or exiting from inside a task) would
+otherwise lose its task silently: ``multiprocessing.Pool`` forks a
+replacement and the caller waits forever for the lost result.  While
+they wait, both shapes poll the exit codes of the workers they forked,
+terminate the pool and raise :class:`WorkerDiedError` naming the exit
+code or signal and the tasks still outstanding.  A replacement worker
+never inherited the task closure, so it runs no task; it reports the
+task it took back as not run, which raises the same error.
 """
 
 from __future__ import annotations
 
+import itertools
 import multiprocessing
+import signal
 import threading
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
-__all__ = ["fork_pool_map", "fork_pool_imap"]
+__all__ = ["WorkerDiedError", "fork_pool_map", "fork_pool_imap"]
 
-#: Task closure inherited by forked pool workers (engine shards and replay
-#: campaigns capture policy factories, which hold closures that cannot be
-#: pickled, so the whole task travels by fork instead of by pickle).
-#: Guarded by _POOL_TASK_LOCK from assignment until the pool has forked.
-_POOL_TASK: Callable[[int], object] | None = None
+#: ``(pool token, task closure)`` inherited by forked pool workers (engine
+#: shards and replay campaigns capture policy factories, which hold
+#: closures that cannot be pickled, so the whole task travels by fork
+#: instead of by pickle).  Guarded by _POOL_TASK_LOCK from assignment
+#: until the pool has forked.
+_POOL_TASK: tuple[int, Callable[[int], object]] | None = None
 _POOL_TASK_LOCK = threading.Lock()
+_POOL_TOKENS = itertools.count()
+
+#: Longest wait for a result between two checks that the pool's workers
+#: are alive.  A result that is ready is returned at once.
+_LIVENESS_POLL_SECONDS = 0.2
 
 
-def _pool_entry(task_id: int) -> tuple[int, object]:
-    """Worker entry point: run one task of the forked closure."""
-    assert _POOL_TASK is not None, "pool task not initialized before fork"
-    return task_id, _POOL_TASK(task_id)
+class WorkerDiedError(RuntimeError):
+    """A pool worker exited while tasks were outstanding."""
+
+
+def _pool_entry(job: tuple[int, int]) -> tuple[int, bool, object]:
+    """Worker entry point: run one task of the forked closure.
+
+    Returns ``(task id, ran, result)``.  A worker that did not inherit
+    this pool's closure — one the pool forked later to replace a dead
+    worker — runs nothing and returns ``ran=False``.
+    """
+    token, task_id = job
+    if _POOL_TASK is None or _POOL_TASK[0] != token:
+        return task_id, False, None
+    return task_id, True, _POOL_TASK[1](task_id)
 
 
 def _fork_pool(task: Callable[[int], object], workers: int):
     """Fork a pool whose workers inherit ``task`` as the pool closure.
 
-    The lock covers assignment through fork: once ``Pool()`` has forked
-    its workers they hold an inherited copy of the task, so the parent
-    can clear the global immediately and concurrent runs cannot observe
-    (or fork with) each other's state.
+    Returns the pool, its token, and the worker processes it forked.  The
+    lock covers assignment through fork: once ``Pool()`` has forked its
+    workers they hold an inherited copy of the task, so the parent can
+    clear the global immediately and concurrent runs cannot observe (or
+    fork with) each other's state.
     """
     global _POOL_TASK
     context = multiprocessing.get_context("fork")
     with _POOL_TASK_LOCK:
-        _POOL_TASK = task
+        token = next(_POOL_TOKENS)
+        _POOL_TASK = (token, task)
         try:
-            return context.Pool(processes=workers)
+            pool = context.Pool(processes=workers)
         finally:
             _POOL_TASK = None
+    # The pool's own list drops a worker once it has replaced it; keep
+    # the originals to read their exit codes.
+    return pool, token, list(pool._pool)
+
+
+def _next_result(
+    get: Callable[[float], tuple[int, bool, object]],
+    workers: list,
+    outstanding: Callable[[], Iterable[int]],
+) -> tuple[int, object]:
+    """The next ``(task id, result)`` from ``get``, watching the workers.
+
+    ``get(timeout)`` raises ``multiprocessing.TimeoutError`` while no
+    result is ready; between attempts every original worker must still
+    be running, and a task reported as not run means one has died.
+    """
+    while True:
+        try:
+            task_id, ran, result = get(_LIVENESS_POLL_SECONDS)
+        except multiprocessing.TimeoutError:
+            _check_alive(workers, outstanding())
+            continue
+        if ran:
+            return task_id, result
+        # The pool reaps a dead worker before it forks the replacement
+        # that took this task, so its exit code is already known.
+        _check_alive(workers, outstanding())
+        raise WorkerDiedError(  # pragma: no cover - the check above raises
+            f"a replacement pool worker took task {task_id}; a worker died"
+        )
+
+
+def _check_alive(workers: list, outstanding: Iterable[int]) -> None:
+    """Raise :class:`WorkerDiedError` if any of ``workers`` has exited."""
+    for worker in workers:
+        code = worker.exitcode
+        if code is None:
+            continue
+        if code < 0:
+            try:
+                cause = f"killed by {signal.Signals(-code).name}"
+            except ValueError:
+                cause = f"killed by signal {-code}"
+        else:
+            cause = f"exited with code {code}"
+        raise WorkerDiedError(
+            f"pool worker {worker.pid} {cause} with tasks "
+            f"{sorted(outstanding)} outstanding; the pool was terminated"
+        )
 
 
 def fork_pool_map(
@@ -97,10 +176,14 @@ def fork_pool_map(
                 on_result(task_id, result)
         return results
 
-    pool = _fork_pool(task, workers)
+    pool, token, pool_workers = _fork_pool(task, workers)
     ordered: list = [None] * num_tasks
+    outstanding = set(range(num_tasks))
     with pool:
-        for task_id, result in pool.imap_unordered(_pool_entry, range(num_tasks)):
+        results = pool.imap_unordered(_pool_entry, ((token, i) for i in range(num_tasks)))
+        while outstanding:
+            task_id, result = _next_result(results.next, pool_workers, lambda: outstanding)
+            outstanding.discard(task_id)
             ordered[task_id] = result
             if on_result is not None:
                 on_result(task_id, result)
@@ -147,18 +230,22 @@ def fork_pool_imap(
         max_pending = workers + 2
     max_pending = max(workers, int(max_pending))
 
-    pool = _fork_pool(task, workers)
+    pool, token, pool_workers = _fork_pool(task, workers)
     try:
         with pool:
             pending: list = []
             next_submit = 0
             while pending or next_submit < num_tasks:
                 while next_submit < num_tasks and len(pending) < max_pending:
-                    pending.append(pool.apply_async(_pool_entry, (next_submit,)))
+                    pending.append(pool.apply_async(_pool_entry, ((token, next_submit),)))
                     next_submit += 1
                 # Head-of-line blocking get(): later tasks keep running in
                 # the pool, but results are handed out in task-id order.
-                _, result = pending.pop(0).get()
+                first = next_submit - len(pending)
+                _, result = _next_result(
+                    pending[0].get, pool_workers, lambda: range(first, next_submit)
+                )
+                pending.pop(0)
                 yield result
     finally:
         # An abandoned generator (consumer stopped early or raised) must

@@ -179,16 +179,40 @@ class ColdStartSimulator:
         )
 
     # ------------------------------------------------------------------ #
-    def validate_times(
-        self, invocation_times_minutes: Sequence[float] | np.ndarray
-    ) -> np.ndarray:
-        """Validate one application's timestamps without a sorting escape hatch.
+    def validate_csr(self, times: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+        """Validate many applications' timestamps in one vectorized pass.
 
-        Public hook for the engines (the sweep engine in particular) that
-        replay many applications and need the exact validation contract of
-        :meth:`simulate_app`: within ``[0, horizon]``, ascending.
+        The applications are in CSR layout: application ``i``'s
+        timestamps are ``times[offsets[i]:offsets[i + 1]]``.  Each must
+        meet :meth:`simulate_app`'s contract without the sorting escape
+        hatch — within ``[0, horizon]``, ascending — while one
+        application's first timestamp may lie below the previous one's
+        last.  Raises the ``ValueError`` that validating the applications
+        one by one would raise first.  Used by the family evaluators of
+        :mod:`repro.simulation.sweep_engine`.
         """
-        return self._validated_times(invocation_times_minutes)
+        times = np.asarray(times, dtype=np.float64)
+        offsets = np.asarray(offsets, dtype=np.int64)
+        starts = offsets[:-1][np.diff(offsets) > 0]  # non-empty applications
+        if starts.size == 0:
+            return times
+        # Per-application extremes, which propagate NaN like the per-app
+        # np.min / np.max do, and descents within an application.
+        outside = (np.minimum.reduceat(times, starts) < 0) | (
+            np.maximum.reduceat(times, starts) > self.horizon_minutes
+        )
+        descents = times[1:] < times[:-1]
+        descents[starts[1:] - 1] = False
+        if not outside.any() and not descents.any():
+            return times
+        # The first failing application raises its own ValueError.
+        first = min(
+            int(starts[np.argmax(outside)]) if outside.any() else times.size,
+            int(np.argmax(descents)) + 1 if descents.any() else times.size,
+        )
+        app = int(np.searchsorted(offsets, first, side="right")) - 1
+        self._validated_times(times[offsets[app] : offsets[app + 1]])
+        raise AssertionError("flat validation disagrees with per-app validation")
 
     def _validated_times(
         self,

@@ -3,10 +3,12 @@
 The per-application simulations behind Figures 14–18 are embarrassingly
 parallel: policies are per-application and the simulator models no
 cross-application contention.  :class:`SimulationEngine` owns the
-geometry that exploits this — per-application work items resolved from
-a workload or a bare (typically memory-mapped)
-:class:`~repro.trace.store.InvocationStore`, contiguous application
-chunks that fit ``max_resident_bytes``, and invocation-balanced shards
+geometry that exploits this — application ranges resolved from a
+workload or a bare (typically memory-mapped)
+:class:`~repro.trace.store.InvocationStore` into :class:`CsrSlice`
+inputs (the store's flat timestamp column plus per-application
+offsets), contiguous application chunks that fit
+``max_resident_bytes``, and invocation-balanced shards
 for a ``fork`` worker pool — and runs one policy over the workload as a
 **family of one**: :meth:`SimulationEngine.run_policy` hands the factory
 to the sweep engine's driver (:mod:`repro.simulation.sweep_engine`) as a
@@ -65,7 +67,8 @@ _SHARDS_PER_WORKER = 4
 
 #: Estimated resident bytes of per-application engine state in one chunk:
 #: the hybrid pass's histogram bins (240 × int64 at the default config)
-#: plus its Welford state, counters and result row.  Used by the
+#: plus its Welford state, counters and result columns (~75 bytes per
+#: hybrid policy, ~50 per constant one).  Used by the
 #: ``max_resident_bytes`` chunk geometry so many-small-app workloads are
 #: bounded by app count too, not only by invocation bytes.
 _PER_APP_RESIDENT_BYTES = 4096
@@ -145,21 +148,37 @@ class RunnerOptions:
 
 
 @dataclass(frozen=True)
-class _AppWorkItem:
-    """One application's simulation inputs, resolved from the workload."""
+class CsrSlice:
+    """A contiguous application range's simulation inputs, in CSR layout.
 
-    app_id: str
+    Application ``i`` of the slice is ``app_ids[i]``, weighs
+    ``memory_mb[i]`` and has the timestamps
+    ``times[offsets[i]:offsets[i + 1]]`` (``offsets[0]`` is 0).
+    """
+
+    app_ids: tuple[str, ...]
     times: np.ndarray
-    memory_mb: float
+    offsets: np.ndarray
+    memory_mb: np.ndarray
+
+    @property
+    def counts(self) -> np.ndarray:
+        """Invocations per application."""
+        return np.diff(self.offsets)
+
+    def app_times(self) -> list[np.ndarray]:
+        """Each application's timestamps, as views of ``times``."""
+        bounds = self.offsets.tolist()
+        return [self.times[start:stop] for start, stop in zip(bounds, bounds[1:])]
 
 
 class SimulationEngine:
-    """Resolves a workload into work items and runs one policy over it.
+    """Resolves a workload into CSR slices and runs one policy over it.
 
     The engine owns the geometry every simulation pass walks: the
-    per-application work items, memory-bounded chunks and parallel shard
-    ranges.  :meth:`run_policy` evaluates one factory as a family of one
-    through the sweep engine's driver
+    per-range :class:`CsrSlice` inputs, memory-bounded chunks and
+    parallel shard ranges.  :meth:`run_policy` evaluates one factory as a
+    family of one through the sweep engine's driver
     (:meth:`~repro.simulation.sweep_engine.SweepEngine.run_group`), the
     same loop that evaluates whole policy families.
 
@@ -202,52 +221,49 @@ class SimulationEngine:
         """The columnar invocation store the engine iterates over."""
         return self._store
 
-    def work_items(self) -> list[_AppWorkItem]:
-        """Per-application inputs for the whole workload."""
-        return self.work_items_range(0, self._store.num_apps)
-
-    def work_items_range(
+    def csr_slice(
         self,
-        start_app: int,
-        stop_app: int,
+        start_app: int = 0,
+        stop_app: int | None = None,
         *,
         store: InvocationStore | None = None,
-    ) -> list[_AppWorkItem]:
-        """Work items for the contiguous application range ``[start, stop)``.
+    ) -> CsrSlice:
+        """The inputs of the applications in ``[start_app, stop_app)``.
 
-        Each item's ``times`` is a read-only, zero-copy slice of the
-        store's flat sorted column — for a memory-mapped store the bytes
-        are only paged in when a simulation touches them, which is what
-        makes the ``max_resident_bytes`` chunked passes stream instead of
-        loading the trace.  ``store`` substitutes a re-opened handle of
-        the same archive (parallel shard workers); application indices and
-        ids are identical by construction.
+        Applications below ``min_invocations`` are left out.  ``times``
+        is a read-only, zero-copy slice of the store's flat sorted column
+        unless a left-out application has invocations — for a
+        memory-mapped store the bytes are only paged in when a simulation
+        touches them, which is what makes the ``max_resident_bytes``
+        chunked passes stream instead of loading the trace.  ``store``
+        substitutes a re-opened handle of the same archive (parallel
+        shard workers); application indices and ids are identical by
+        construction.
         """
         store = self._store if store is None else store
-        counts = np.diff(store.app_offsets[start_app : stop_app + 1])
-        min_invocations = self.options.min_invocations
-        use_weights = self.options.use_memory_weights
-        apps = self._apps
-        items: list[_AppWorkItem] = []
-        for offset in range(stop_app - start_app):
-            if counts[offset] < min_invocations:
-                continue
-            app_index = start_app + offset
-            if apps is not None:
-                app = apps[app_index]
-                app_id = app.app_id
-                memory_mb = app.memory.average_mb if use_weights else 1.0
-            else:
-                app_id = store.app_ids[app_index]
-                memory_mb = 1.0
-            items.append(
-                _AppWorkItem(
-                    app_id=app_id,
-                    times=store.app_slice(app_index),
-                    memory_mb=memory_mb,
-                )
+        stop_app = store.num_apps if stop_app is None else stop_app
+        offsets = np.asarray(store.app_offsets[start_app : stop_app + 1], dtype=np.int64)
+        times = store.times[offsets[0] : offsets[-1]]
+        counts = np.diff(offsets)
+        keep = counts >= self.options.min_invocations
+        indices = np.flatnonzero(keep) + start_app
+        if keep.all():
+            app_ids = store.app_ids[start_app:stop_app]
+        else:
+            app_ids = tuple(store.app_ids[index] for index in indices.tolist())
+            if counts[~keep].any():
+                times = times[np.repeat(keep, counts)]
+            counts = counts[keep]
+        csr_offsets = np.zeros(counts.size + 1, dtype=np.int64)
+        np.cumsum(counts, out=csr_offsets[1:])
+        if self._apps is not None and self.options.use_memory_weights:
+            memory_mb = np.array(
+                [self._apps[index].memory.average_mb for index in indices.tolist()],
+                dtype=np.float64,
             )
-        return items
+        else:
+            memory_mb = np.ones(counts.size, dtype=np.float64)
+        return CsrSlice(app_ids, times, csr_offsets, memory_mb)
 
     def eligible_app_count(self) -> int:
         """How many applications pass the ``min_invocations`` filter."""
@@ -377,5 +393,5 @@ class SimulationEngine:
         from repro.simulation.sweep_engine import FactoryGroup, SweepEngine
 
         group = FactoryGroup(factory.sweep_key, (factory,))
-        app_results = SweepEngine(self).run_group(group, progress)[factory.name]
-        return merge_results(factory.name, app_results)
+        blocks = SweepEngine(self).run_group(group, progress)[factory.name]
+        return merge_results(factory.name, blocks)

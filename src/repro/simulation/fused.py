@@ -7,13 +7,14 @@ a per-chunk simulation that runs where the chunk is generated: with
 otherwise the calling process.  There the chunk's columns become a small
 :class:`~repro.trace.store.InvocationStore` and go through the same
 engine routes a full-store run would use.  A chunk therefore never
-leaves the process that made it; only the per-policy
-:class:`~repro.simulation.metrics.AppSimResult` rows travel back, and the
-parent merges them in chunk order.  The iterator's bounded window of
-``max_pending_chunks`` tasks gives natural backpressure: generation
+leaves the process that made it; only each policy's result travels
+back, as one column block of a few arrays
+(:class:`~repro.simulation.metrics.AggregateResult`), and the parent
+concatenates the blocks in chunk order.  The iterator's bounded window
+of ``max_pending_chunks`` tasks gives natural backpressure: generation
 never runs ahead of the parent by more than a few chunks, each worker
 holds one chunk at a time, and the parent holds at most one window of
-result rows plus the ``O(num_apps)`` merged rows, regardless of
+blocks plus the ``O(num_apps)`` result columns, regardless of
 invocation count.
 
 Because every engine route simulates applications independently, the
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterable
 
-from repro.simulation.metrics import AggregateResult, AppSimResult
+from repro.simulation.metrics import AggregateResult, merge_results
 from repro.simulation.runner import RunnerOptions, WorkloadRunner
 from repro.simulation.sweep_engine import check_unique_policy_names
 from repro.trace.generator import GeneratorConfig
@@ -86,17 +87,16 @@ def simulate_streamed(
             "count as gen_workers alone"
         )
 
-    def simulate_chunk(chunk: ChunkColumns) -> dict[str, tuple[AppSimResult, ...]]:
+    def simulate_chunk(chunk: ChunkColumns) -> dict[str, AggregateResult]:
         store = InvocationStore.from_app_columns(
             chunk.app_functions,
             chunk.app_times,
             chunk.app_positions,
             duration_minutes=config.duration_minutes,
         )
-        results = WorkloadRunner(store, options).run_policies(factories)
-        return {name: result.app_results for name, result in results.items()}
+        return WorkloadRunner(store, options).run_policies(factories)
 
-    per_policy: dict[str, list[AppSimResult]] = {}
+    per_policy: dict[str, list[AggregateResult]] = {}
     apps_done = 0
     for chunk_results in iter_chunk_columns(
         config,
@@ -105,13 +105,10 @@ def simulate_streamed(
         max_pending_chunks=max_pending_chunks,
         per_chunk=simulate_chunk,
     ):
-        for name, rows in chunk_results.items():
-            per_policy.setdefault(name, []).extend(rows)
+        for name, block in chunk_results.items():
+            per_policy.setdefault(name, []).append(block)
         # Every chunk but the last holds exactly chunk_apps applications.
         apps_done = min(apps_done + chunk_apps, config.num_apps)
         if progress is not None:
             progress(apps_done, config.num_apps)
-    return {
-        name: AggregateResult(policy_name=name, app_results=tuple(rows))
-        for name, rows in per_policy.items()
-    }
+    return {name: merge_results(name, blocks) for name, blocks in per_policy.items()}

@@ -51,7 +51,15 @@ memory-bounded application chunks in process, or over shards on a
 ``fork`` worker pool when ``workers`` is above 1.  The group's family
 picks the evaluator; factories without a family, and every factory
 under ``execution="serial"``, take the scalar reference loop
-(:func:`_evaluate_scalar`).
+(:func:`_evaluate_scalar`).  Each evaluator takes one range's
+:class:`~repro.simulation.engine.CsrSlice` (flat timestamps plus
+per-application offsets), validates it once, vectorized
+(:meth:`~repro.simulation.coldstart.ColdStartSimulator.validate_csr`),
+and writes every policy's per-application totals as result columns
+(:class:`~repro.simulation.metrics.AggregateResult`); only those column
+blocks travel back from shard workers, and
+:func:`~repro.simulation.metrics.merge_results` concatenates them in
+range order.
 :meth:`~repro.simulation.runner.WorkloadRunner.run_policies` — and
 therefore every ``sweep_*`` function and experiment driver — routes
 through :meth:`SweepEngine.run_policies`; the ``sweep`` field of
@@ -76,11 +84,8 @@ from repro.policies.registry import (
 )
 from repro.simulation.coldstart import DEFAULT_SCALAR_DRAIN_THRESHOLD
 from repro.core.pool import fork_pool_map
-from repro.simulation.engine import (
-    SimulationEngine,
-    _AppWorkItem,
-)
-from repro.simulation.metrics import AggregateResult, AppSimResult, merge_results
+from repro.simulation.engine import CsrSlice, SimulationEngine
+from repro.simulation.metrics import MODE_NAMES, AggregateResult, merge_results
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.simulation.coldstart import ColdStartSimulator
@@ -91,10 +96,6 @@ __all__ = [
     "check_unique_policy_names",
     "group_factories",
 ]
-
-#: Zero-count mode counters reported for hybrid-family applications with
-#: no invocations, matching what a fresh bank row reports.
-_EMPTY_HYBRID_MODES = {"histogram": 0, "standard": 0, "arima": 0}
 
 
 def check_unique_policy_names(factories: Sequence[PolicyFactory]) -> None:
@@ -192,10 +193,10 @@ class SweepEngine:
         check_unique_policy_names(factories)
         results: dict[str, AggregateResult] = {}
         for group in self.groups(factories):
-            for name, app_results in self.run_group(group).items():
-                results[name] = merge_results(name, app_results)
+            for name, blocks in self.run_group(group).items():
+                results[name] = merge_results(name, blocks)
                 if progress is not None:
-                    progress(name, len(app_results), len(app_results))
+                    progress(name, results[name].num_apps, results[name].num_apps)
         return {factory.name: results[factory.name] for factory in factories}
 
     def groups(self, factories: Sequence[PolicyFactory]) -> list[FactoryGroup]:
@@ -211,7 +212,7 @@ class SweepEngine:
         self,
         group: FactoryGroup,
         progress: Callable[[int, int], None] | None = None,
-    ) -> dict[str, list[AppSimResult]]:
+    ) -> dict[str, list[AggregateResult]]:
         """Evaluate one group over the workload, chunked or sharded.
 
         With ``workers`` above 1 the applications are split into
@@ -227,8 +228,10 @@ class SweepEngine:
         pure function of one application's own timestamps, so
         concatenating per-range results in range order reproduces the
         whole-workload evaluation exactly, for any chunking and worker
-        count.  ``progress`` receives ``(apps done, apps total)`` as
-        ranges complete.
+        count.  Returns each factory's per-range column blocks, in range
+        order, for :func:`~repro.simulation.metrics.merge_results`.
+        ``progress`` receives ``(apps done, apps total)`` as ranges
+        complete.
         """
         engine = self._engine
         total = engine.eligible_app_count()
@@ -237,43 +240,41 @@ class SweepEngine:
         budgeted = self.options.max_resident_bytes is not None
         done = 0
 
-        def run_range(index: int) -> dict[str, list[AppSimResult]]:
+        def run_range(index: int) -> dict[str, AggregateResult]:
             start, stop = ranges[index]
             store = engine.worker_store()
-            results = self._evaluate(group, engine.work_items_range(start, stop, store=store))
+            results = self._evaluate(group, engine.csr_slice(start, stop, store=store))
             if budgeted:
                 store.release_mapped_pages()
             return results
 
-        def on_result(index: int, results: dict[str, list[AppSimResult]]) -> None:
+        def on_result(index: int, results: dict[str, AggregateResult]) -> None:
             nonlocal done
-            done += len(next(iter(results.values())))
+            done += next(iter(results.values())).num_apps
             if progress is not None:
                 progress(done, total)
 
         # The task closure carries the group's factories, which hold
         # unpicklable closures, so it travels to pool workers by fork; one
         # worker runs the ranges in process.  Results come back in range
-        # order either way.
-        merged: dict[str, list[AppSimResult]] = {
+        # order either way, as a few column arrays per policy and range.
+        blocks: dict[str, list[AggregateResult]] = {
             factory.name: [] for factory in group.factories
         }
-        for chunk in fork_pool_map(run_range, len(ranges), workers, on_result=on_result):
-            for name, app_results in chunk.items():
-                merged[name].extend(app_results)
-        return merged
+        for results in fork_pool_map(run_range, len(ranges), workers, on_result=on_result):
+            for name, block in results.items():
+                blocks[name].append(block)
+        return blocks
 
-    def _evaluate(
-        self, group: FactoryGroup, items: Sequence[_AppWorkItem]
-    ) -> dict[str, list[AppSimResult]]:
-        """Evaluate one group over a set of work items, in this process."""
+    def _evaluate(self, group: FactoryGroup, chunk: CsrSlice) -> dict[str, AggregateResult]:
+        """Evaluate one group over one application range, in this process."""
         family = group.key[0] if group.key and self.options.execution != "serial" else None
         if family is None:
-            return _evaluate_scalar(group.factories, items, self._simulator)
+            return _evaluate_scalar(group.factories, chunk, self._simulator)
         if family == FAMILY_CONSTANT_KEEPALIVE:
-            return _evaluate_constant_family(group.factories, items, self._simulator)
+            return _evaluate_constant_family(group.factories, chunk, self._simulator)
         if family == FAMILY_HYBRID_HISTOGRAM:
-            return _evaluate_hybrid_family(group.factories, items, self._simulator)
+            return _evaluate_hybrid_family(group.factories, chunk, self._simulator)
         raise ValueError(f"unknown policy family {family!r}")  # pragma: no cover
 
 
@@ -282,23 +283,26 @@ class SweepEngine:
 # --------------------------------------------------------------------------- #
 def _evaluate_scalar(
     factories: Sequence[PolicyFactory],
-    items: Sequence[_AppWorkItem],
+    chunk: CsrSlice,
     simulator: "ColdStartSimulator",
-) -> dict[str, list[AppSimResult]]:
+) -> dict[str, AggregateResult]:
     """Replay every application through a fresh instance of each policy.
 
     The Section 5.1 reference loop
     (:meth:`~repro.simulation.coldstart.ColdStartSimulator.simulate_app`):
     what ``execution="serial"`` runs for every factory, and what a
-    factory that declares no policy family runs under ``auto``.
+    factory that declares no policy family runs under ``auto``.  Its
+    per-application rows become columns once per policy.
     """
+    apps = list(zip(chunk.app_ids, chunk.app_times(), chunk.memory_mb.tolist()))
     return {
-        factory.name: [
-            simulator.simulate_app(
-                item.app_id, item.times, factory.create(), memory_mb=item.memory_mb
-            )
-            for item in items
-        ]
+        factory.name: merge_results(
+            factory.name,
+            [
+                simulator.simulate_app(app_id, times, factory.create(), memory_mb=memory_mb)
+                for app_id, times, memory_mb in apps
+            ],
+        )
         for factory in factories
     }
 
@@ -308,14 +312,16 @@ def _evaluate_scalar(
 # --------------------------------------------------------------------------- #
 def _evaluate_constant_family(
     factories: Sequence[PolicyFactory],
-    items: Sequence[_AppWorkItem],
+    chunk: CsrSlice,
     simulator: "ColdStartSimulator",
-) -> dict[str, list[AppSimResult]]:
+) -> dict[str, AggregateResult]:
     """Evaluate the whole keep-alive grid against per-app gaps computed once.
 
-    The flat timestamp column, its per-invocation start/arrival views, and
-    the validation pass are shared by every configuration; each ``K`` then
-    costs a handful of flat array operations.  Each per-gap term is the
+    The chunk's flat timestamp column, validated once, its
+    per-invocation start/arrival views, and the result columns every
+    configuration shares (ids, invocations, weights, a zero OOB count)
+    serve the whole grid; each ``K`` then costs a handful of flat array
+    operations.  Each per-gap term is the
     scalar simulator's arithmetic for a constant ``(prewarm=0, K)``
     decision (``K = inf`` models no-unloading): an arrival at or before
     the window's expiry is warm (``PolicyDecision.covers``), and the idle
@@ -328,16 +334,10 @@ def _evaluate_constant_family(
     of the scalar totals.
     """
     horizon = simulator.horizon_minutes
-    times_list = [simulator.validate_times(item.times) for item in items]
-    counts = np.array([times.size for times in times_list], dtype=np.int64)
-    flat = (
-        np.concatenate(times_list) if times_list else np.zeros(0, dtype=np.float64)
-    )
-    offsets = np.zeros(len(items), dtype=np.int64)
-    if len(items):
-        np.cumsum(counts[:-1], out=offsets[1:])
+    flat = simulator.validate_csr(chunk.times, chunk.offsets)
+    counts = chunk.counts
     populated = counts > 0
-    starts = offsets[populated]
+    starts = chunk.offsets[:-1][populated]
     lasts = starts + counts[populated] - 1
     gap_starts = flat[:-1]
     arrivals = flat[1:]
@@ -346,12 +346,13 @@ def _evaluate_constant_family(
     # (which pairs it with the previous application) is zeroed.
     cold = np.zeros(flat.size, dtype=bool)
     terms = np.zeros(flat.size, dtype=np.float64)
+    no_oob = np.zeros(counts.size, dtype=np.int64)
 
-    results: dict[str, list[AppSimResult]] = {}
+    results: dict[str, AggregateResult] = {}
     for factory in factories:
         keepalive = float(factory.family_config)
-        cold_starts: list[int] = []
-        wasted_minutes: list[float] = []
+        cold_starts = np.zeros(counts.size, dtype=np.int64)
+        wasted_minutes = np.zeros(counts.size, dtype=np.float64)
         if starts.size:
             window_end = gap_starts + keepalive
             np.greater(arrivals, window_end, out=cold[1:])
@@ -369,22 +370,17 @@ def _evaluate_constant_family(
                 last = flat[lasts]
                 tail_end = np.minimum(last + keepalive, horizon)
                 wasted += np.where(tail_end > last, tail_end - last, 0.0)
-            cold_starts = cold_per_app.tolist()
-            wasted_minutes = wasted.tolist()
-        per_app = iter(zip(cold_starts, wasted_minutes))
-        app_results: list[AppSimResult] = []
-        for item, n in zip(items, counts.tolist()):
-            cold_count, waste = next(per_app) if n else (0, 0.0)
-            app_results.append(
-                AppSimResult(
-                    app_id=item.app_id,
-                    invocations=n,
-                    cold_starts=cold_count,
-                    wasted_memory_minutes=waste,
-                    memory_mb=item.memory_mb,
-                )
-            )
-        results[factory.name] = app_results
+            cold_starts[populated] = cold_per_app
+            wasted_minutes[populated] = wasted
+        results[factory.name] = AggregateResult(
+            factory.name,
+            chunk.app_ids,
+            invocations=counts,
+            cold_starts=cold_starts,
+            wasted_memory_minutes=wasted_minutes,
+            memory_mb=chunk.memory_mb,
+            oob_idle_times=no_oob,
+        )
     return results
 
 
@@ -402,7 +398,7 @@ class _HybridFamilyRecording:
     that histogram range observes at that invocation's decision point.
     """
 
-    order: np.ndarray  #: sorted row -> work-item index
+    order: np.ndarray  #: sorted row -> application index in the chunk
     counts: np.ndarray  #: invocations per sorted row
     offsets: np.ndarray  #: CSR start per sorted row
     times: np.ndarray  #: flat timestamps, sorted-app order
@@ -414,7 +410,7 @@ class _HybridFamilyRecording:
 
 
 def _record_hybrid_family(
-    items: Sequence[_AppWorkItem],
+    chunk: CsrSlice,
     simulator: "ColdStartSimulator",
     bin_width_minutes: float,
     percentiles: dict[float, Sequence[float]],
@@ -442,19 +438,20 @@ def _record_hybrid_family(
     produce bit-identical CV and percentile-bin trajectories, which the
     bank- and sweep-equivalence suites lock down.
     """
-    num = len(items)
-    times_list = [simulator.validate_times(item.times) for item in items]
-    counts = np.array([times.size for times in times_list], dtype=np.int64)
+    times = simulator.validate_csr(chunk.times, chunk.offsets)
+    counts = chunk.counts
+    num = counts.size
     order = np.argsort(-counts, kind="stable")
     counts_sorted = counts[order]
-    flat = (
-        np.concatenate([times_list[int(i)] for i in order])
-        if num
-        else np.zeros(0, dtype=np.float64)
-    )
     offsets = np.zeros(num, dtype=np.int64)
     if num:
         np.cumsum(counts_sorted[:-1], out=offsets[1:])
+    # Gather the applications longest-first: sorted row r's k-th
+    # invocation is the chunk's position chunk.offsets[order[r]] + k.
+    shift = np.repeat(chunk.offsets[:-1][order] - offsets, counts_sorted)
+    shift += np.arange(times.size)
+    flat = times[shift]
+    del shift
     max_count = int(counts_sorted[0]) if num else 0
     occupancy = np.bincount(counts_sorted, minlength=max_count + 1)
     active_per_step = num - np.cumsum(occupancy)[:max_count]
@@ -644,15 +641,17 @@ class _ArimaForecastMemo:
 
 def _evaluate_hybrid_family(
     factories: Sequence[PolicyFactory],
-    items: Sequence[_AppWorkItem],
+    chunk: CsrSlice,
     simulator: "ColdStartSimulator",
-) -> dict[str, list[AppSimResult]]:
+) -> dict[str, AggregateResult]:
     """Evaluate every configuration of one hybrid family from one recording.
 
     Every configuration stages its per-invocation conditions and windows
     in one shared set of scratch rows instead of fresh temporaries, so a
     pass holds about :data:`~repro.simulation.engine.PASS_BYTES_PER_INVOCATION`
-    bytes per invocation whatever the family's size.
+    bytes per invocation whatever the family's size.  The ids,
+    invocation and weight columns are shared by every configuration's
+    result.
     """
     configs = [factory.family_config for factory in factories]
     bin_width = configs[0].bin_width_minutes
@@ -664,12 +663,17 @@ def _evaluate_hybrid_family(
         percentiles.setdefault(config.histogram_range_minutes, set()).update(
             (config.head_percentile, config.tail_percentile)
         )
-    recording = _record_hybrid_family(items, simulator, bin_width, percentiles)
+    recording = _record_hybrid_family(chunk, simulator, bin_width, percentiles)
     memo = _ArimaForecastMemo(recording)
     scratch = np.empty((3, recording.times.size), dtype=np.float64)
+    invocations = chunk.counts
     return {
-        factory.name: _evaluate_hybrid_config(
-            recording, config, memo, items, simulator, scratch
+        factory.name: AggregateResult(
+            factory.name,
+            chunk.app_ids,
+            invocations=invocations,
+            memory_mb=chunk.memory_mb,
+            **_evaluate_hybrid_config(recording, config, memo, simulator, scratch),
         )
         for factory, config in zip(factories, configs)
     }
@@ -679,10 +683,9 @@ def _evaluate_hybrid_config(
     recording: _HybridFamilyRecording,
     config,
     memo: _ArimaForecastMemo,
-    items: Sequence[_AppWorkItem],
     simulator: "ColdStartSimulator",
     scratch: np.ndarray,
-) -> list[AppSimResult]:
+) -> dict[str, np.ndarray]:
     """One configuration's decisions, cold starts, and waste from recordings.
 
     Every float operation mirrors :class:`~repro.policies.bank.
@@ -691,7 +694,9 @@ def _evaluate_hybrid_config(
     terms, evaluated flat over all invocations at once instead of one
     lockstep step at a time.  Decisions never depend on cold/warm
     outcomes, so the flat evaluation is exact.  ``scratch`` holds three
-    float rows as long as the recording, overwritten here.
+    float rows as long as the recording, overwritten here.  Returns the
+    per-application cold-start, waste, OOB and decision-mode columns in
+    chunk order; applications without invocations keep zeros.
     """
     range_minutes = config.histogram_range_minutes
     total = recording.total
@@ -754,23 +759,20 @@ def _evaluate_hybrid_config(
         keepalive[unloads] += prewarm[unloads]
         prewarm[unloads] = 0.0
 
-    # Per-application totals.  Rows are sorted longest-first, so the
-    # populated rows are a prefix and every empty application follows.
+    # Per-application totals, scattered from sorted rows to chunk order.
+    # Rows are sorted longest-first, so the populated rows are a prefix
+    # and every empty application follows.
     order = recording.order
     counts = recording.counts
     populated_rows = int(np.count_nonzero(counts))
-    results: list[AppSimResult | None] = [None] * len(items)
-    for index in order[populated_rows:].tolist():
-        results[index] = AppSimResult(
-            app_id=items[index].app_id,
-            invocations=0,
-            cold_starts=0,
-            wasted_memory_minutes=0.0,
-            memory_mb=items[index].memory_mb,
-            mode_counts=dict(_EMPTY_HYBRID_MODES),
-        )
+    columns = {
+        "cold_starts": np.zeros(order.size, dtype=np.int64),
+        "wasted_memory_minutes": np.zeros(order.size, dtype=np.float64),
+        "oob_idle_times": np.zeros(order.size, dtype=np.int64),
+        "mode_counts": np.zeros((order.size, len(MODE_NAMES)), dtype=np.int64),
+    }
     if not populated_rows:
-        return results  # type: ignore[return-value]
+        return columns
 
     # Cold/warm outcomes and idle-loaded waste from consecutive decisions,
     # flat: position i's decision governs the gap to position i + 1 of the
@@ -807,31 +809,13 @@ def _evaluate_hybrid_config(
     terms[0] = 0.0
     terms[1:] = gap_waste
     terms[starts] = 0.0
-    wasted = np.add.reduceat(terms, starts) + wasted
-    arima_counts = (
-        np.add.reduceat(mask_arima, starts, dtype=np.int64)
-        if mask_arima is not None
-        else np.zeros(populated_rows, dtype=np.int64)
-    )
-    columns = zip(
-        order[:populated_rows].tolist(),
-        counts[:populated_rows].tolist(),
-        np.add.reduceat(cold, starts, dtype=np.int64).tolist(),
-        wasted.tolist(),
-        np.add.reduceat(mask_histogram, starts, dtype=np.int64).tolist(),
-        np.add.reduceat(mask_standard, starts, dtype=np.int64).tolist(),
-        arima_counts.tolist(),
-        oob[lasts].tolist(),
-    )
-    for index, n, cold_starts, wasted_minutes, histogram, standard, arima, oob_last in columns:
-        results[index] = AppSimResult(
-            app_id=items[index].app_id,
-            invocations=n,
-            cold_starts=cold_starts,
-            wasted_memory_minutes=wasted_minutes,
-            memory_mb=items[index].memory_mb,
-            mode_counts={"histogram": histogram, "standard": standard, "arima": arima},
-            oob_idle_times=oob_last,
-        )
-    assert all(result is not None for result in results)
-    return results  # type: ignore[return-value]
+    rows = order[:populated_rows]
+    columns["cold_starts"][rows] = np.add.reduceat(cold, starts, dtype=np.int64)
+    columns["wasted_memory_minutes"][rows] = np.add.reduceat(terms, starts) + wasted
+    columns["oob_idle_times"][rows] = oob[lasts]
+    modes = columns["mode_counts"]
+    modes[rows, 0] = np.add.reduceat(mask_histogram, starts, dtype=np.int64)
+    modes[rows, 1] = np.add.reduceat(mask_standard, starts, dtype=np.int64)
+    if mask_arima is not None:
+        modes[rows, 2] = np.add.reduceat(mask_arima, starts, dtype=np.int64)
+    return columns

@@ -24,6 +24,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.policies.fixed import FixedKeepAlivePolicy
 from repro.policies.no_unload import NoUnloadingPolicy
@@ -36,13 +38,16 @@ from repro.policies.registry import (
 from repro.simulation.coldstart import ColdStartSimulator
 from repro.simulation.engine import (
     EXECUTION_MODES,
+    CsrSlice,
     RunnerOptions,
     SimulationEngine,
-    _AppWorkItem,
 )
 from repro.simulation.metrics import AppSimResult
 from repro.simulation.runner import WorkloadRunner
-from repro.simulation.sweep_engine import _evaluate_constant_family
+from repro.simulation.sweep_engine import (
+    _evaluate_constant_family,
+    _evaluate_hybrid_family,
+)
 from repro.trace.generator import GeneratorConfig, WorkloadGenerator
 from repro.trace.schema import Workload
 from tests.conftest import make_workload
@@ -80,6 +85,17 @@ def seeded_workload(seed: int, num_apps: int = 25) -> Workload:
         max_daily_rate=600.0,
     )
     return WorkloadGenerator(config).generate()
+
+
+def csr_slice(apps) -> CsrSlice:
+    """A CSR slice of per-application timestamp lists, taken as given."""
+    counts = [len(times) for times in apps]
+    return CsrSlice(
+        app_ids=tuple(f"app-{i}" for i in range(len(apps))),
+        times=np.asarray([t for times in apps for t in times], dtype=np.float64),
+        offsets=np.concatenate(([0], np.cumsum(counts, dtype=np.int64))),
+        memory_mb=np.ones(len(apps)),
+    )
 
 
 def run_engine(
@@ -162,9 +178,10 @@ class TestClosedFormAgainstScalar:
             if math.isinf(keepalive)
             else fixed_keepalive_factory(keepalive)
         )
-        item = _AppWorkItem("app", np.asarray(times, dtype=float), 1.0)
+        chunk = csr_slice([times])
         simulator = ColdStartSimulator(self.HORIZON)
-        return _evaluate_constant_family([factory], [item], simulator)[factory.name][0]
+        result = _evaluate_constant_family([factory], chunk, simulator)[factory.name]
+        return result.app_results[0]
 
     def assert_app_equal(self, times, keepalive: float) -> None:
         expected = self.scalar(times, keepalive)
@@ -228,6 +245,81 @@ class TestClosedFormAgainstScalar:
             self.closed_form([10.0, self.HORIZON + 1.0], 10.0)
         with pytest.raises(ValueError, match="horizon"):
             self.closed_form([-1.0, 10.0], 10.0)
+
+    @pytest.mark.parametrize(
+        "evaluate, factory",
+        [
+            (_evaluate_constant_family, fixed_keepalive_factory(10.0)),
+            (_evaluate_hybrid_family, hybrid_factory()),
+        ],
+        ids=["constant", "hybrid"],
+    )
+    def test_next_app_may_start_before_previous_ends(self, evaluate, factory):
+        """A descent across an application boundary is legal."""
+        apps = [[100.0, 200.0, 300.0], [], [50.0, 60.0], [0.0], [10.0, self.HORIZON]]
+        simulator = ColdStartSimulator(self.HORIZON)
+        result = evaluate([factory], csr_slice(apps), simulator)[factory.name]
+        for row, times in zip(result.app_results, apps):
+            expected = simulator.simulate_app(row.app_id, times, factory.create())
+            assert row.invocations == expected.invocations
+            assert row.cold_starts == expected.cold_starts
+            assert row.wasted_memory_minutes == pytest.approx(
+                expected.wasted_memory_minutes, abs=WASTE_TOLERANCE, rel=WASTE_TOLERANCE
+            )
+
+
+# --------------------------------------------------------------------------- #
+# Flat CSR validation against the per-application contract
+# --------------------------------------------------------------------------- #
+FLAT_HORIZON = 100.0
+
+#: Timestamps at and just outside the horizon's ends, plus ordinary ones.
+flat_times = st.sampled_from(
+    [
+        0.0,
+        FLAT_HORIZON,
+        float(np.nextafter(0.0, -1.0)),
+        -1.0,
+        float(np.nextafter(FLAT_HORIZON, np.inf)),
+        FLAT_HORIZON + 1.0,
+    ]
+) | st.floats(0.0, FLAT_HORIZON)
+
+
+@st.composite
+def csr_apps(draw) -> list[list[float]]:
+    """Applications sorted or not, empty or single, next to each other.
+
+    Sorted neighbours put descents exactly at application boundaries;
+    unsorted applications put them inside one.
+    """
+    apps = []
+    for _ in range(draw(st.integers(0, 6))):
+        times = draw(st.lists(flat_times, max_size=5))
+        apps.append(times if draw(st.booleans()) else sorted(times))
+    return apps
+
+
+class TestFlatValidation:
+    @settings(max_examples=120, deadline=None)
+    @given(apps=csr_apps())
+    def test_raises_iff_some_app_breaks_the_per_app_contract(self, apps):
+        simulator = ColdStartSimulator(FLAT_HORIZON)
+        expected = None
+        for times in apps:
+            try:
+                simulator._validated_times(times)
+            except ValueError as error:
+                expected = str(error)
+                break
+        chunk = csr_slice(apps)
+        if expected is None:
+            validated = simulator.validate_csr(chunk.times, chunk.offsets)
+            assert validated.tobytes() == chunk.times.tobytes()
+        else:
+            with pytest.raises(ValueError) as raised:
+                simulator.validate_csr(chunk.times, chunk.offsets)
+            assert str(raised.value) == expected
 
 
 # --------------------------------------------------------------------------- #

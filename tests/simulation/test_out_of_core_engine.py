@@ -99,15 +99,15 @@ class TestChunkGeometry:
         engine = SimulationEngine(
             workload, RunnerOptions(max_resident_bytes=BUDGET)
         )
-        whole = engine.work_items()
-        chunked = [
-            item
-            for start, stop in engine.app_chunk_bounds()
-            for item in engine.work_items_range(start, stop)
+        whole = engine.csr_slice()
+        chunks = [
+            engine.csr_slice(start, stop) for start, stop in engine.app_chunk_bounds()
         ]
-        assert [item.app_id for item in chunked] == [item.app_id for item in whole]
-        for a, b in zip(chunked, whole):
-            np.testing.assert_array_equal(a.times, b.times)
+        chunked_ids = [app_id for chunk in chunks for app_id in chunk.app_ids]
+        assert chunked_ids == list(whole.app_ids)
+        chunked_times = [times for chunk in chunks for times in chunk.app_times()]
+        for a, b in zip(chunked_times, whole.app_times()):
+            np.testing.assert_array_equal(a, b)
 
     def test_shard_ranges_cover_apps_in_order(self, workload):
         engine = SimulationEngine(

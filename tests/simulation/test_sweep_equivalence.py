@@ -248,7 +248,8 @@ class TestFamilyEquivalence:
             duration_minutes=HORIZON,
         )
         engine = SimulationEngine(workload, RunnerOptions())
-        items = engine.work_items()
+        chunk = engine.csr_slice()
+        app_times = chunk.app_times()
         ranges = sorted(
             factory.family_config.histogram_range_minutes
             for factory in figure_factories("fig15")
@@ -256,7 +257,7 @@ class TestFamilyEquivalence:
         )
         percentiles = {r: (0.0, 5.0, 99.0, 100.0) for r in ranges}
         recording = sweep_engine_module._record_hybrid_family(
-            items, engine.simulator, width, percentiles
+            chunk, engine.simulator, width, percentiles
         )
         # Rows are longest-first, so the bank steps while more than the
         # drain threshold of them are active: before the count of the row
@@ -270,7 +271,7 @@ class TestFamilyEquivalence:
             oob = np.zeros(recording.times.size, dtype=np.int64)
             bins = np.zeros((len(percentiles[r]), recording.times.size), dtype=np.int64)
             for row, index in enumerate(recording.order):
-                times = items[index].times
+                times = app_times[index]
                 o = int(recording.offsets[row])
                 histogram = IdleTimeHistogram(r, width)
                 for k in range(times.size):

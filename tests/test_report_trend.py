@@ -114,6 +114,15 @@ class TestBaseline:
         # entry just before it would have hidden it.
         assert flagged_keys(*history) == ["speedup"]
 
+    def test_top_level_cpu_count_preferred(self):
+        """Entries name their environment at the top level."""
+        history = [
+            {**entry(4.0), "cpu_count": 4},
+            {**entry(1.5), "cpu_count": 2},
+            {**entry(1.4), "cpu_count": 4},
+        ]
+        assert flagged_keys(*history) == ["speedup"]
+
     def test_main_exits_nonzero_on_regression(self, monkeypatch, capsys):
         history = [entry(family_seconds=1.0), entry(family_seconds=2.0)]
         monkeypatch.setattr(report_trend, "load_entries", lambda: history)
