@@ -88,15 +88,27 @@ def bench_environment() -> dict:
     }
 
 
-def record_bench_result(name: str, *, speedup: float | None = None, **details) -> None:
+def record_bench_result(
+    name: str,
+    *,
+    statistic: str,
+    bar: str,
+    passed: bool,
+    speedup: float | None = None,
+    **details,
+) -> None:
     """Append one benchmark measurement to ``BENCH_results.json``.
 
-    Each entry records the benchmark name, the measured speedup (when the
-    benchmark asserts one), any extra details the benchmark chooses to
-    keep (timings, workload shape, compiled-path availability), and
-    the environment it ran in (:func:`bench_environment`).  The file
-    holds a JSON list and is append-only: re-runs add entries rather than
-    overwrite, so the file is the perf trajectory across sessions.
+    Each entry records the benchmark name, the environment it ran in
+    (:func:`bench_environment`), the statistic the numbers are (``"best
+    of 3 runs"``), the bar they were held to (``"speedup >= 3x"``) and
+    whether they ``passed`` it, the measured speedup (when the benchmark
+    asserts one), and any extra details the benchmark chooses to keep
+    (timings, workload shape).  A caller records before it asserts and
+    passes ``passed=`` the comparison it asserts, so a missed bar lands
+    as ``passed: false`` and fails ``benchmarks/report_trend.py``.  The
+    file holds a JSON list and is append-only: re-runs add entries rather
+    than overwrite, so the file is the perf trajectory across sessions.
     """
     entries: list[dict] = []
     if BENCH_RESULTS_PATH.exists():
@@ -110,6 +122,9 @@ def record_bench_result(name: str, *, speedup: float | None = None, **details) -
         "name": name,
         "recorded_unix": round(time.time(), 3),
         **bench_environment(),
+        "statistic": statistic,
+        "bar": bar,
+        "passed": bool(passed),
     }
     if speedup is not None:
         entry["speedup"] = round(float(speedup), 3)

@@ -149,8 +149,15 @@ def test_chaos_soak_conserves_work_within_overhead_budget(record_bench):
         f"failovers: {summary['controller_failovers']:.0f}  "
         f"duplicates: {summary['duplicate_completions']:.0f}"
     )
+    passed = overhead <= MAX_OVERHEAD_FRACTION
     record_bench(
         "platform/chaos-soak",
+        statistic=f"best of {REPETITIONS} interleaved runs per leg",
+        bar=(
+            "zero invariant violations; combined chaos within "
+            f"{MAX_OVERHEAD_FRACTION:.0%} of crash-only faults"
+        ),
+        passed=passed,
         crash_only_seconds=crash_seconds,
         combined_seconds=chaos_seconds,
         overhead_fraction=round(overhead, 4),
@@ -161,7 +168,7 @@ def test_chaos_soak_conserves_work_within_overhead_budget(record_bench):
         controller_failovers=summary["controller_failovers"],
         duplicate_completions=summary["duplicate_completions"],
     )
-    assert overhead <= MAX_OVERHEAD_FRACTION, (
+    assert passed, (
         f"combined chaos costs {overhead * 100.0:.1f}% "
         f"(> {MAX_OVERHEAD_FRACTION * 100.0:.0f}%) over crash-only faults"
     )

@@ -101,13 +101,17 @@ def test_closed_form_at_least_10x(workload, factory, record_bench):
         f"closed form best {vectorized_best * 1e3:.1f} ms, "
         f"speedup {speedup:.1f}x"
     )
+    passed = speedup >= 10.0
     record_bench(
         "engine/vectorized-vs-serial",
+        statistic="best of 3 runs per mode",
+        bar="closed form >= 10x the serial loop",
+        passed=passed,
         speedup=speedup,
         serial_seconds=serial_best,
         vectorized_seconds=vectorized_best,
     )
-    assert speedup >= 10.0
+    assert passed, f"closed-form speedup {speedup:.2f}x below 10x"
 
 
 @pytest.mark.parametrize("engine", ["serial", "auto"])
@@ -144,15 +148,19 @@ def test_hybrid_pass_at_least_5x(workload, record_bench):
         f"auto best {banked_best * 1e3:.1f} ms, "
         f"speedup {speedup:.1f}x"
     )
+    passed = speedup >= 5.0
     record_bench(
         "engine/banked-vs-serial-hybrid",
+        statistic="best of 2 (serial) and 3 (auto) runs",
+        bar="hybrid pass >= 5x the serial loop",
+        passed=passed,
         speedup=speedup,
         serial_seconds=serial_best,
         banked_seconds=banked_best,
     )
     # Sanity: the run actually exercised the hybrid decision modes.
     assert fast_result.mode_usage().get("histogram", 0) > 0
-    assert speedup >= 5.0
+    assert passed, f"hybrid-pass speedup {speedup:.2f}x below 5x"
 
 
 # --------------------------------------------------------------------------- #
@@ -228,14 +236,18 @@ def test_arima_heavy_banked_batched_at_least_3x(workload, record_bench):
         f"scalar-loop best {scalar_best * 1e3:.0f} ms, "
         f"batched best {batched_best * 1e3:.0f} ms, speedup {speedup:.1f}x"
     )
+    passed = speedup >= 3.0
     record_bench(
         "engine/banked-arima-batched-vs-scalar",
+        statistic="best of 2 (scalar) and 3 (batched) runs",
+        bar="batched ARIMA >= 3x the per-row scalar loop",
+        passed=passed,
         speedup=speedup,
         scalar_seconds=scalar_best,
         batched_seconds=batched_best,
         arima_decisions=int(arima_decisions),
     )
-    assert speedup >= 3.0
+    assert passed, f"batched-ARIMA speedup {speedup:.2f}x below 3x"
 
 
 # --------------------------------------------------------------------------- #
@@ -430,13 +442,17 @@ def test_columnar_pipeline_at_least_3x(workload, record_bench):
         f"\nbuild+characterize: dict path best {legacy_best * 1e3:.1f} ms, "
         f"columnar best {columnar_best * 1e3:.1f} ms, speedup {speedup:.1f}x"
     )
+    passed = speedup >= 3.0
     record_bench(
         "trace/columnar-vs-dict-pipeline",
+        statistic="best of 5 runs per path",
+        bar="columnar >= 3x the dict path",
+        passed=passed,
         speedup=speedup,
         dict_seconds=legacy_best,
         columnar_seconds=columnar_best,
     )
-    assert speedup >= 3.0
+    assert passed, f"columnar pipeline speedup {speedup:.2f}x below 3x"
 
 
 @pytest.mark.parametrize("path", ["dict", "columnar"])

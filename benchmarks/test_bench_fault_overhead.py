@@ -92,13 +92,17 @@ def test_zero_fault_plan_overhead_within_budget(record_bench):
         f"\nplain replay: {plain_seconds:.3f}s  zero-fault plan: {gated_seconds:.3f}s  "
         f"overhead: {overhead * 100.0:+.2f}% (budget {MAX_OVERHEAD_FRACTION * 100.0:.0f}%)"
     )
+    passed = overhead <= MAX_OVERHEAD_FRACTION
     record_bench(
         "platform/zero-fault-plan-overhead",
+        statistic=f"best of {REPETITIONS} runs per leg",
+        bar=f"zero-fault plan within {MAX_OVERHEAD_FRACTION:.0%} of the plain replay",
+        passed=passed,
         plain_seconds=plain_seconds,
         gated_seconds=gated_seconds,
         overhead_fraction=round(overhead, 4),
     )
-    assert overhead <= MAX_OVERHEAD_FRACTION, (
+    assert passed, (
         f"zero-fault injection costs {overhead * 100.0:.1f}% "
         f"(> {MAX_OVERHEAD_FRACTION * 100.0:.0f}%) over the plain replay"
     )

@@ -524,80 +524,18 @@ def test_columnar_replay_at_least_3x(workload, replay_setup, record_bench):
         f"seed path best {seed_best * 1e3:.0f} ms, "
         f"columnar feed best {columnar_best * 1e3:.0f} ms, speedup {speedup:.1f}x"
     )
+    passed = speedup >= 3.0
     record_bench(
         "platform/columnar-vs-seed-replay",
+        statistic="best of 2 (seed) and 3 (columnar) runs",
+        bar="identical cold starts and latencies; columnar >= 3x the seed path",
+        passed=passed,
         speedup=speedup,
         seed_seconds=seed_best,
         columnar_seconds=columnar_best,
         invocations=int(seed_metrics.total_invocations),
     )
-    assert speedup >= 3.0
-
-
-def test_compiled_event_core_replay(workload, replay_setup, monkeypatch, record_bench):
-    """Compiled event core vs the heapq fallback on the session replay.
-
-    Byte-identity is asserted unconditionally: the array core (selected
-    by ``REPRO_COMPILED=1``; interpreted when numba is absent) must
-    produce exactly the metrics of the ``heapq`` fallback
-    (``REPRO_COMPILED=0``).  The >= 2x speedup half of the PR 7
-    acceptance criterion only holds with the kernels actually jitted, so
-    it is asserted when numba compiled them (the nightly compiled-path CI
-    job) and reported otherwise.
-    """
-    from repro.platform.event_kernels import NUMBA_COMPILED
-
-    from tests.platform.test_replay_equivalence import assert_metrics_equivalent
-
-    replay_config, cluster_config = replay_setup
-    factory = fixed_keepalive_factory(10.0)
-    feed = TraceReplayer(
-        workload, replay_config=replay_config, cluster_config=cluster_config
-    ).feed  # shared columnar stream: feed construction is not measured
-
-    def replay(core: str):
-        monkeypatch.setenv("REPRO_COMPILED", core)
-        return TraceReplayer(
-            workload,
-            replay_config=replay_config,
-            cluster_config=cluster_config,
-            feed=feed,
-        ).run(factory)
-
-    fallback = replay("0")
-    compiled = replay("1")
-    assert_metrics_equivalent(fallback.metrics, compiled.metrics)
-    compiled_summary = compiled.summary()
-    fallback_summary = fallback.summary()
-    # The overhead gauge is wall-clock time, not simulation state.
-    compiled_summary.pop("controller_overhead_us")
-    fallback_summary.pop("controller_overhead_us")
-    assert compiled_summary == fallback_summary
-    assert compiled.prewarm_messages == fallback.prewarm_messages
-
-    fallback_best = _best_of(2, lambda: replay("0"))
-    compiled_best = _best_of(3, lambda: replay("1"))
-    speedup = fallback_best / compiled_best
-    mode = "jitted" if NUMBA_COMPILED else "interpreted (numba absent)"
-    print(
-        f"\nevent-core replay ({mode}): "
-        f"heapq fallback best {fallback_best * 1e3:.0f} ms, "
-        f"array core best {compiled_best * 1e3:.0f} ms, speedup {speedup:.2f}x"
-    )
-    record_bench(
-        "platform/compiled-vs-fallback-event-core",
-        speedup=speedup,
-        fallback_seconds=fallback_best,
-        compiled_seconds=compiled_best,
-        numba_compiled=NUMBA_COMPILED,
-    )
-    if NUMBA_COMPILED:
-        assert speedup >= 2.0
-    else:
-        pytest.skip(
-            "numba absent: array core ran interpreted; byte-identity asserted, "
-            "the >= 2x speedup bar runs in the compiled-path CI job"
-        )
+    assert passed, f"columnar replay speedup {speedup:.2f}x below 3x"
 
 
 @pytest.mark.parametrize("path", ["seed", "columnar"])

@@ -198,31 +198,27 @@ def _cmd_characterize(args: argparse.Namespace) -> int:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     factories = [parse_policy_spec(spec) for spec in args.policies]
     if args.fused:
-        try:
-            if args.trace_dir is not None:
-                raise ValueError(
-                    "--fused generates its own workload and cannot be combined "
-                    "with --trace-dir"
-                )
-            if args.gen_workers < 1:
-                raise ValueError("--gen-workers must be at least 1")
-            if args.chunk_apps < 1:
-                raise ValueError("--chunk-apps must be at least 1")
-            if args.gen_workers > 1 and args.rng_scheme != "v2":
-                raise ValueError(
-                    "--gen-workers above 1 requires --rng-scheme v2 (per-app "
-                    "random streams)"
-                )
-            results = simulate_streamed(
-                _workload_config(args),
-                factories,
-                options=_runner_options(args),
-                chunk_apps=args.chunk_apps,
-                gen_workers=args.gen_workers,
+        if args.trace_dir is not None:
+            raise ValueError(
+                "--fused generates its own workload and cannot be combined "
+                "with --trace-dir"
             )
-        except ValueError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
+        if args.gen_workers < 1:
+            raise ValueError("--gen-workers must be at least 1")
+        if args.chunk_apps < 1:
+            raise ValueError("--chunk-apps must be at least 1")
+        if args.gen_workers > 1 and args.rng_scheme != "v2":
+            raise ValueError(
+                "--gen-workers above 1 requires --rng-scheme v2 (per-app "
+                "random streams)"
+            )
+        results = simulate_streamed(
+            _workload_config(args),
+            factories,
+            options=_runner_options(args),
+            chunk_apps=args.chunk_apps,
+            gen_workers=args.gen_workers,
+        )
         baseline = f"fixed-{BASELINE_KEEPALIVE_MINUTES:g}min"
         if baseline not in results:
             baseline = next(iter(results))
@@ -267,11 +263,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             print(f"  family {label}: {members}")
 
     start = time.perf_counter()
-    try:
-        results = runner.run_policies(factories)
-    except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+    results = runner.run_policies(factories)
     elapsed = time.perf_counter() - start
 
     baseline = f"fixed-{BASELINE_KEEPALIVE_MINUTES:g}min"
@@ -331,27 +323,23 @@ def _cmd_trace_info(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace_gen(args: argparse.Namespace) -> int:
-    try:
-        if args.workers < 1:
-            raise ValueError("--workers must be at least 1")
-        if args.chunk_apps < 1:
-            raise ValueError("--chunk-apps must be at least 1")
-        if args.workers > 1 and args.rng_scheme != "v2":
-            raise ValueError(
-                "--workers above 1 requires --rng-scheme v2 (per-app random "
-                "streams make chunk output independent of worker count)"
-            )
-        config = GeneratorConfig(
-            num_apps=args.apps,
-            duration_minutes=args.days * MINUTES_PER_DAY,
-            seed=args.seed,
-            max_daily_rate=args.max_daily_rate,
-            target_rps=args.target_rps,
-            rng_scheme=args.rng_scheme,
+    if args.workers < 1:
+        raise ValueError("--workers must be at least 1")
+    if args.chunk_apps < 1:
+        raise ValueError("--chunk-apps must be at least 1")
+    if args.workers > 1 and args.rng_scheme != "v2":
+        raise ValueError(
+            "--workers above 1 requires --rng-scheme v2 (per-app random "
+            "streams make chunk output independent of worker count)"
         )
-    except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+    config = GeneratorConfig(
+        num_apps=args.apps,
+        duration_minutes=args.days * MINUTES_PER_DAY,
+        seed=args.seed,
+        max_daily_rate=args.max_daily_rate,
+        target_rps=args.target_rps,
+        rng_scheme=args.rng_scheme,
+    )
     start = time.perf_counter()
 
     def progress(apps_done: int, num_apps: int) -> None:
@@ -523,19 +511,15 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     if args.hetero_memory_mb:
         scenarios.append(heterogeneous_memory_scenario(args.hetero_memory_mb))
 
-    try:
-        scenarios = _compose_fault_scenarios(scenarios, args)
-        campaign = ReplayCampaign(
-            workload,
-            factories,
-            scenarios=scenarios,
-            seeds=[args.seed + offset for offset in range(args.seeds)],
-            replay_config=ReplayConfig(duration_minutes=replay_minutes, seed=args.seed),
-            workers=args.workers,
-        )
-    except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+    scenarios = _compose_fault_scenarios(scenarios, args)
+    campaign = ReplayCampaign(
+        workload,
+        factories,
+        scenarios=scenarios,
+        seeds=[args.seed + offset for offset in range(args.seeds)],
+        replay_config=ReplayConfig(duration_minutes=replay_minutes, seed=args.seed),
+        workers=args.workers,
+    )
     print(
         f"replay campaign: {len(factories)} polic{'y' if len(factories) == 1 else 'ies'}"
         f" x {len(scenarios)} scenario(s) x {args.seeds} seed(s) = "
@@ -944,9 +928,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    """Run one sub-command; an invalid option value exits 2 with a usage
+    error on stderr, like an argparse error, instead of a traceback."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.handler(args)
+    try:
+        return args.handler(args)
+    except ValueError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -19,26 +19,12 @@ Three properties matter for replaying production-scale traces:
 * **submission sources** — instead of pre-scheduling one closure per
   trace invocation into the heap, a cursor-driven
   :class:`SubmissionSource` (the columnar replay feed) is merged with
-  the event stream at run time: the loop interleaves ``source.emit()``
-  calls with event batches in global time order, with submissions
-  winning ties, exactly as if every submission had been scheduled before
-  any dynamic event.  The heap then only ever holds the *in-flight*
-  events (executions, keep-alive expiries, pre-warms), not the whole
-  trace.
-
-The loop has two interchangeable cores.  The **heapq core** keeps the
-event records directly in a C ``heapq`` list — dependency-light, the
-tier-1 default.  The **array core** keeps the heap as preallocated flat
-``(times, eids)`` arrays sifted by the kernels in
-:mod:`repro.platform.event_kernels`, which numba jit-compiles when it is
-importable; event ids index a side list of records carrying the Python
-callbacks.  Both cores order events by ``(time, sequence)`` and share
-the merge/batch semantics above, so their replays are byte-identical —
-the core is a performance choice, selected per loop by the
-``REPRO_COMPILED`` environment variable (``0`` forces heapq, ``1``
-forces the array core even without numba, unset picks the array core
-exactly when numba compiled the kernels) or the ``core`` constructor
-argument.
+  the event stream at run time: the loop interleaves
+  ``source.emit_next()`` calls with event batches in global time order,
+  with submissions winning ties, exactly as if every submission had been
+  scheduled before any dynamic event.  The heap then only ever holds the
+  *in-flight* events (executions, keep-alive expiries, pre-warms), not
+  the whole trace.
 
 Times are in **seconds** inside the platform substrate (container starts
 and function executions are sub-minute); the trace replayer converts from
@@ -49,65 +35,34 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import os
 from typing import Callable, Optional, Protocol
-
-import numpy as np
-
-from repro.platform import event_kernels
-from repro.platform.event_kernels import heap_pop_batch, heap_push
 
 #: Field offsets of an event record ``[time, sequence, callback, cancelled]``.
 _TIME, _SEQUENCE, _CALLBACK, _CANCELLED = 0, 1, 2, 3
-
-#: Initial capacity of the array core's heap (doubles on demand).
-_INITIAL_HEAP_CAPACITY = 1024
-
-#: Batch buffer for same-timestamp drains; overflowing batches loop.
-_BATCH_CAPACITY = 128
-
-
-def _select_core(requested: str | None) -> str:
-    """Resolve the event-loop core name (see the module docstring)."""
-    if requested is None:
-        requested = os.environ.get("REPRO_COMPILED", "auto")
-    value = str(requested).strip().lower() or "auto"
-    if value in ("0", "heapq", "python", "fallback"):
-        return "heapq"
-    if value in ("1", "array", "compiled"):
-        return "array"
-    if value == "auto":
-        return "array" if event_kernels.NUMBA_COMPILED else "heapq"
-    raise ValueError(
-        f"unknown event-loop core {requested!r}; expected 'heapq', 'array', "
-        "'auto', or a REPRO_COMPILED value of 0/1"
-    )
 
 
 class SubmissionSource(Protocol):
     """A cursor of externally driven work merged with the event stream.
 
-    The loop repeatedly asks for :meth:`next_time` and, when the cursor's
-    timestamp is at or before the earliest queued event, advances the
-    clock to it and calls :meth:`emit` (which typically submits one trace
-    invocation to the controller and moves the cursor forward).
-    Submissions at the same timestamp as queued events run *first* —
-    mirroring the reference path, where every submission was scheduled
-    before any dynamic event and therefore carried a lower sequence
-    number.
-
-    Sources may additionally provide ``emit_next() -> float | None``,
-    fusing one :meth:`emit` with the following :meth:`next_time`; the
-    loop prefers it when present (one Python call per submission instead
-    of two on a path crossed hundreds of thousands of times per replay).
+    A run asks for :meth:`next_time` when it starts.  Whenever the
+    cursor's timestamp is at or before the earliest queued event, the
+    run advances the clock to it and calls :meth:`emit_next`, which
+    performs that submission (typically one trace invocation sent to the
+    controller), moves the cursor forward and returns the next timestamp
+    — one Python call per submission on a path crossed hundreds of
+    thousands of times per replay.  Submissions at the same timestamp as
+    queued events run *first*, mirroring the reference path, where every
+    submission was scheduled before any dynamic event and therefore
+    carried a lower sequence number.
     """
 
     def next_time(self) -> float | None:
         """Timestamp of the next submission, or ``None`` when drained."""
         ...
 
-    def emit(self) -> None:
-        """Perform the next submission at the current loop time."""
+    def emit_next(self) -> float | None:
+        """Perform the next submission at the current loop time and return
+        the timestamp of the one after it (``None`` when drained)."""
         ...
 
 
@@ -133,41 +88,20 @@ class EventHandle:
 
 
 class EventLoop:
-    """Deterministic discrete-event loop with batched same-time draining.
+    """Deterministic discrete-event loop with batched same-time draining."""
 
-    Args:
-        core: ``"heapq"``, ``"array"``, or ``"auto"`` (the default:
-            resolve from ``REPRO_COMPILED``, preferring the array core
-            when numba jitted its kernels).  Both cores are semantically
-            identical; see the module docstring.
-    """
-
-    def __init__(self, core: str | None = None) -> None:
-        self.core = _select_core(core)
+    def __init__(self) -> None:
         #: Current simulation time in seconds.  A plain attribute (it is
         #: read on every scheduling decision of every platform component);
         #: only the loop itself writes it.
         self.now = 0.0
         self._processed = 0
-        self._use_array = self.core == "array"
-        if self._use_array:
-            self._heap_times = np.empty(_INITIAL_HEAP_CAPACITY, dtype=np.float64)
-            self._heap_eids = np.empty(_INITIAL_HEAP_CAPACITY, dtype=np.int64)
-            self._heap_size = 0
-            #: Event records indexed by eid; executed/cancelled slots are
-            #: dropped to ``None`` at pop time to release callbacks.
-            self._events: list[list | None] = []
-            self._batch_out = np.empty(_BATCH_CAPACITY, dtype=np.int64)
-            self._single_out = np.empty(1, dtype=np.int64)
-        else:
-            self._queue: list[list] = []
-            self._sequence = itertools.count()
+        self._queue: list[list] = []
+        self._sequence = itertools.count()
 
     @property
     def pending_events(self) -> int:
         """Number of events still queued (including cancelled ones)."""
-        if self._use_array:
-            return self._heap_size
         return len(self._queue)
 
     @property
@@ -179,8 +113,6 @@ class EventLoop:
         """Schedule ``callback`` to run ``delay_seconds`` from now."""
         if delay_seconds < 0:
             raise ValueError("cannot schedule an event in the past")
-        if self._use_array:
-            return self._push_array(self.now + delay_seconds, callback)
         # Inlined schedule_at (one event per execution makes this hot).
         event = [self.now + delay_seconds, next(self._sequence), callback, False]
         heapq.heappush(self._queue, event)
@@ -192,28 +124,8 @@ class EventLoop:
             raise ValueError(
                 f"cannot schedule at {time_seconds} before current time {self.now}"
             )
-        if self._use_array:
-            return self._push_array(float(time_seconds), callback)
         event = [float(time_seconds), next(self._sequence), callback, False]
         heapq.heappush(self._queue, event)
-        return EventHandle(event)
-
-    def _push_array(self, time_seconds: float, callback: Callable[[], None]) -> EventHandle:
-        """Array-core push: record the event and sift it into the heap."""
-        events = self._events
-        eid = len(events)
-        event = [time_seconds, eid, callback, False]
-        events.append(event)
-        size = self._heap_size
-        if size == self._heap_times.shape[0]:
-            self._heap_times = np.concatenate(
-                [self._heap_times, np.empty_like(self._heap_times)]
-            )
-            self._heap_eids = np.concatenate(
-                [self._heap_eids, np.empty_like(self._heap_eids)]
-            )
-        heap_push(self._heap_times, self._heap_eids, size, time_seconds, eid)
-        self._heap_size = size + 1
         return EventHandle(event)
 
     def run(
@@ -234,22 +146,14 @@ class EventLoop:
         Returns:
             The simulation time when the run stopped.
         """
-        if self._use_array:
-            return self._run_array(until_seconds, source)
-        return self._run_heapq(until_seconds, source)
-
-    def _run_heapq(
-        self, until_seconds: Optional[float], source: SubmissionSource | None
-    ) -> float:
         queue = self._queue
         heappop = heapq.heappop
         processed = 0
         if source is not None:
             next_submission = source.next_time()
-            emit_next = getattr(source, "emit_next", None)
+            emit_next = source.emit_next
         else:
             next_submission = None
-            emit_next = None
         while True:
             head_time = queue[0][_TIME] if queue else None
             if next_submission is not None and (
@@ -259,11 +163,7 @@ class EventLoop:
                 if until_seconds is not None and next_submission > until_seconds:
                     break
                 self.now = next_submission
-                if emit_next is not None:
-                    next_submission = emit_next()
-                else:
-                    source.emit()  # type: ignore[union-attr]
-                    next_submission = source.next_time()  # type: ignore[union-attr]
+                next_submission = emit_next()
                 processed += 1
                 continue
             if head_time is None:
@@ -296,102 +196,8 @@ class EventLoop:
             self.now = until_seconds
         return self.now
 
-    def _run_array(
-        self, until_seconds: Optional[float], source: SubmissionSource | None
-    ) -> float:
-        """Array-core run loop: kernel-sifted heap, same merge semantics.
-
-        Only the head peek and the pop/push sifts differ from the heapq
-        core; batch collection, tie rules, cancellation, and the horizon
-        checks are line-for-line the same, which is what the
-        compiled-vs-fallback byte-identity suite locks down.
-        """
-        events = self._events
-        out = self._batch_out
-        batch_capacity = out.shape[0]
-        processed = 0
-        if source is not None:
-            next_submission = source.next_time()
-            emit_next = getattr(source, "emit_next", None)
-        else:
-            next_submission = None
-            emit_next = None
-        while True:
-            size = self._heap_size
-            # The heap arrays are re-read every iteration: a callback (or
-            # an emitted submission) may have grown and replaced them.
-            times = self._heap_times
-            head_time = times[0] if size else None
-            if next_submission is not None and (
-                head_time is None or next_submission <= head_time
-            ):
-                if until_seconds is not None and next_submission > until_seconds:
-                    break
-                self.now = next_submission
-                if emit_next is not None:
-                    next_submission = emit_next()
-                else:
-                    source.emit()  # type: ignore[union-attr]
-                    next_submission = source.next_time()  # type: ignore[union-attr]
-                processed += 1
-                continue
-            if head_time is None:
-                break
-            if until_seconds is not None and head_time > until_seconds:
-                break
-            head = float(head_time)
-            count = heap_pop_batch(times, self._heap_eids, size, out)
-            self._heap_size = size - count
-            if count == 1:
-                eid = out[0]
-                event = events[eid]
-                events[eid] = None
-                if not event[_CANCELLED]:
-                    self.now = head
-                    event[_CALLBACK]()
-                    processed += 1
-                continue
-            batch = out[:count].tolist()
-            # A batch larger than the buffer continues popping until the
-            # head moves past the batch timestamp; the whole batch is
-            # collected before any callback runs, so a callback scheduling
-            # at the same timestamp starts a *new* batch (as in the
-            # reference core).
-            while count == batch_capacity and self._heap_size and times[0] == head_time:
-                count = heap_pop_batch(times, self._heap_eids, self._heap_size, out)
-                self._heap_size -= count
-                batch.extend(out[:count].tolist())
-            for eid in batch:
-                event = events[eid]
-                events[eid] = None
-                if not event[_CANCELLED]:
-                    self.now = head
-                    event[_CALLBACK]()
-                    processed += 1
-        self._processed += processed
-        if until_seconds is not None and until_seconds > self.now:
-            self.now = until_seconds
-        return self.now
-
     def step(self) -> bool:
         """Process exactly one (non-cancelled) event; returns False when empty."""
-        if self._use_array:
-            out = self._single_out
-            events = self._events
-            while self._heap_size:
-                self._heap_size -= heap_pop_batch(
-                    self._heap_times, self._heap_eids, self._heap_size, out
-                )
-                eid = out[0]
-                event = events[eid]
-                events[eid] = None
-                if event[_CANCELLED]:
-                    continue
-                self.now = event[_TIME]
-                event[_CALLBACK]()
-                self._processed += 1
-                return True
-            return False
         while self._queue:
             event = heapq.heappop(self._queue)
             if event[_CANCELLED]:

@@ -180,7 +180,10 @@ class ReplayFeed:
 
 
 class _FeedCursor:
-    """Cursor adapting a :class:`ReplayFeed` to the event loop's source API."""
+    """Cursor adapting a :class:`ReplayFeed` to the event loop's
+    :class:`~repro.platform.events.SubmissionSource` API: each
+    :meth:`emit_next` submits one invocation to the controller and
+    returns the next arrival time."""
 
     __slots__ = ("_index", "_n", "_times", "_apps", "_functions", "_durations", "_memory", "_submit")
 
@@ -200,18 +203,7 @@ class _FeedCursor:
             return None
         return self._times[index]
 
-    def emit(self) -> None:
-        index = self._index
-        self._index = index + 1
-        self._submit(
-            self._apps[index],
-            self._functions[index],
-            execution_seconds=self._durations[index],
-            memory_mb=self._memory[index],
-        )
-
     def emit_next(self) -> float | None:
-        """Fused ``emit`` + ``next_time`` (the loop's preferred call)."""
         index = self._index
         self._index = index + 1
         self._submit(

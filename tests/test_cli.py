@@ -7,6 +7,7 @@ import pytest
 from repro.cli import build_parser, main
 
 SMALL = ["--num-apps", "25", "--days", "1", "--seed", "4", "--max-daily-rate", "500"]
+BAD_WINDOW = "fixed keep-alive window must be a number"
 
 
 class TestParser:
@@ -57,9 +58,27 @@ class TestCommands:
         assert "histogram" in output
         assert "OOB idle %" in output
 
-    def test_simulate_rejects_bad_policy_spec(self):
-        with pytest.raises(ValueError, match="keep-alive window"):
-            main(["simulate", *SMALL, "--policies", "fixed:0"])
+    def test_simulate_rejects_bad_policy_spec(self, capsys):
+        assert main(["simulate", *SMALL, "--policies", "fixed:0"]) == 2
+        assert "keep-alive window" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, message",
+        [
+            (["simulate", "--workers", "0"], "worker count must be at least 1"),
+            (["simulate", "--policies", "fixed:abc"], BAD_WINDOW),
+            (["sweep", "--policies", "fixed:abc"], BAD_WINDOW),
+            (["replay", "--policies", "bogus"], "unknown policy kind 'bogus'"),
+            (["experiment", "fig14", "--workers", "0"], "worker count must be at least 1"),
+            (["characterize", "--num-apps", "0"], "num_apps must be at least 1"),
+        ],
+    )
+    def test_invalid_value_is_a_usage_error(self, capsys, command, message):
+        # The invalid value comes after SMALL, so it wins over SMALL's own.
+        assert main([command[0], *SMALL, *command[1:]]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {message}" in err
+        assert "Traceback" not in err
 
     def test_generate_and_reload(self, tmp_path, capsys):
         out_dir = tmp_path / "trace"
