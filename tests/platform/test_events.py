@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -148,6 +149,47 @@ class TestBatches:
         assert order == ["a", "d"]
         assert loop.processed_events == 2
         assert loop.pending_events == 0
+
+    def test_large_same_time_batch_runs_in_fifo_order(self):
+        loop = EventLoop()
+        hits = []
+        for i in range(300):
+            loop.schedule(1.0, lambda i=i: hits.append(i))
+        later = []
+        loop.schedule(2.0, lambda: later.append(loop.now))
+        loop.run()
+        assert hits == list(range(300))
+        assert later == [2.0]
+        assert loop.processed_events == 301
+        assert loop.pending_events == 0
+
+
+class TestOrderingAtScale:
+    """Thousands of queued events still run by time, then FIFO among ties."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_coarse_random_times_run_by_time_then_fifo(self, seed):
+        rng = random.Random(seed)
+        loop = EventLoop()
+        times = [float(rng.randrange(40)) for _ in range(500)]
+        executed = []
+        for i, time in enumerate(times):
+            loop.schedule(time, lambda i=i: executed.append((loop.now, i)))
+        loop.run()
+        # Sorting (time, index) pairs orders ties by scheduling order.
+        assert executed == sorted((time, i) for i, time in enumerate(times))
+        assert loop.now == max(times)
+        assert loop.processed_events == 500
+
+    def test_events_scheduled_latest_first_run_earliest_first(self):
+        loop = EventLoop()
+        total = 5000
+        hits = []
+        for i in range(total):
+            loop.schedule(float(total - i), lambda i=i: hits.append(i))
+        loop.run()
+        assert hits == list(reversed(range(total)))
+        assert loop.now == float(total)
 
 
 class _ListSource:
