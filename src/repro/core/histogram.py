@@ -16,10 +16,20 @@ From the in-bounds distribution the policy derives:
 Percentiles that fall inside a bin are rounded *down* to the bin's lower
 edge for the head and *up* to the bin's upper edge for the tail, exactly as
 described in the paper, so the derived windows are conservative.
+
+The policy asks for the same two percentiles after every observation, and
+one observation rarely moves either by a bin.  So each percentile asked
+for keeps a *cursor*, as in :mod:`repro.core.histogram_bank` (whose
+docstring states the rule): the bin it answered last and the cumulative
+count through that bin.  An observation at or below that bin adds one to
+the count, and a query walks the cursor only when its bin is no longer
+the first to reach the target: an update costs O(1), not a cumulative sum
+over every bin.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -40,6 +50,15 @@ class HistogramSnapshot:
     @property
     def in_bounds_count(self) -> int:
         return self.total_count - self.oob_count
+
+
+@dataclass(slots=True)
+class _Cursor:
+    """One percentile's cursor (module docstring)."""
+
+    fraction: float  # the percentile over 100
+    bin: int  # the bin answered last
+    at: int  # cumulative count up to and including ``bin``
 
 
 class IdleTimeHistogram:
@@ -69,9 +88,11 @@ class IdleTimeHistogram:
         self._oob_count = 0
         self._total_count = 0
         # Welford accumulator over the *bin counts*, maintained incrementally
-        # so the representativeness CV check is O(1) per update.
-        self._bin_stats = Welford()
-        self._bin_stats.update_many([0.0] * self._num_bins)
+        # so the representativeness CV check is O(1) per update.  It starts
+        # at one zero per bin, whose mean and m2 are exactly 0.0.
+        self._bin_stats = Welford(self._num_bins, 0.0, 0.0)
+        # Percentile cursors, keyed by the percentile asked for.
+        self._cursors: dict[float, _Cursor] = {}
 
     # ------------------------------------------------------------------ #
     # Basic properties
@@ -159,6 +180,9 @@ class IdleTimeHistogram:
         old = float(self._counts[index])
         self._counts[index] += 1
         self._bin_stats.replace(old, old + 1.0)
+        for cursor in self._cursors.values():
+            if index <= cursor.bin:
+                cursor.at += 1
         return True
 
     def observe_many(self, idle_times_minutes: Iterable[float]) -> int:
@@ -174,11 +198,11 @@ class IdleTimeHistogram:
         self._counts[:] = 0
         self._oob_count = 0
         self._total_count = 0
-        self._bin_stats = Welford()
-        self._bin_stats.update_many([0.0] * self._num_bins)
+        self._bin_stats = Welford(self._num_bins, 0.0, 0.0)
+        self._cursors = {}
 
     def decay(self, factor: float = 0.5) -> None:
-        """Multiply every bin count by ``factor`` (integer floor).
+        """Multiply every bin count and the OOB count by ``factor`` (integer floor).
 
         The production implementation keeps daily histograms and can weight
         recent days more heavily; decaying is the in-memory analogue that
@@ -187,9 +211,10 @@ class IdleTimeHistogram:
         if not 0 <= factor <= 1:
             raise ValueError("decay factor must be within [0, 1]")
         self._counts = np.floor(self._counts * factor).astype(np.int64)
-        self._oob_count = int(round(self._oob_count * factor))
+        self._oob_count = math.floor(self._oob_count * factor)
         self._total_count = int(self._counts.sum()) + self._oob_count
         self._bin_stats = Welford.from_values(self._counts.astype(float))
+        self._cursors = {}
 
     # ------------------------------------------------------------------ #
     # Derived statistics
@@ -224,7 +249,7 @@ class IdleTimeHistogram:
         """
         if rounding not in ("down", "up", "nearest"):
             raise ValueError(f"unknown rounding mode: {rounding!r}")
-        (index,) = self.percentile_bins((q,)).tolist()
+        (index,) = self.percentile_bins((q,))
         lower = index * self._bin_width
         upper = (index + 1) * self._bin_width
         if rounding == "down":
@@ -233,28 +258,60 @@ class IdleTimeHistogram:
             return upper
         return (lower + upper) / 2.0
 
-    def percentile_bins(self, percentiles: Sequence[float]) -> np.ndarray:
-        """Bin index holding each weighted percentile, from one cumulative sum.
+    def percentile_bins(self, percentiles: Sequence[float]) -> list[int]:
+        """Bin index holding each weighted percentile, answered from cursors.
 
         The bin of percentile ``q`` is the first whose cumulative count
-        reaches ``q / 100 * in_bounds`` (floored at 1e-12), clipped to the
-        last bin: its lower edge is the head cutoff, its upper edge the
-        tail cutoff.
+        reaches ``q / 100 * in_bounds`` (floored at 1e-12): its lower edge
+        is the head cutoff, its upper edge the tail cutoff.  The first
+        query of a percentile places its cursor with one search of the
+        cumulative counts; later ones move the cursor only when it no
+        longer holds ``at >= thr > at - counts[bin]``, with
+        ``thr = ceil(max(q / 100 * in_bounds, 1e-12))`` (the rule of
+        :mod:`repro.core.histogram_bank`).
 
         Raises:
             ValueError: When a percentile is outside ``[0, 100]`` or the
                 histogram holds no in-bounds observations.
         """
-        if not all(0 <= q <= 100 for q in percentiles):
-            raise ValueError("percentile must be within [0, 100]")
         in_bounds = self.in_bounds_count
         if in_bounds == 0:
+            # No cursor outlives the in-bounds observations, so every
+            # percentile is new and is checked first.
+            if not all(0 <= q <= 100 for q in percentiles):
+                raise ValueError("percentile must be within [0, 100]")
             raise ValueError("histogram has no in-bounds observations")
-        targets = np.asarray(percentiles, dtype=np.float64) / 100.0 * in_bounds
-        index = np.searchsorted(
-            np.cumsum(self._counts), np.maximum(targets, 1e-12), side="left"
-        )
-        return np.minimum(index, self._num_bins - 1)
+        counts = self._counts
+        bins = []
+        for q in percentiles:
+            cursor = self._cursors.get(q)
+            if cursor is None:
+                cursor = self._cursors[q] = self._new_cursor(q, in_bounds)
+            else:
+                # Cumulative counts are integers, so comparing them with the
+                # float target is comparing them with its ceiling.
+                target = max(cursor.fraction * in_bounds, 1e-12)
+                index, at = cursor.bin, cursor.at
+                while at < target:
+                    index += 1
+                    at += counts.item(index)
+                while at - counts.item(index) >= target:
+                    at -= counts.item(index)
+                    index -= 1
+                cursor.bin, cursor.at = index, at
+            bins.append(cursor.bin)
+        return bins
+
+    def _new_cursor(self, q: float, in_bounds: int) -> _Cursor:
+        """A cursor for percentile ``q``, placed by one cumulative-count search."""
+        if not 0 <= q <= 100:
+            raise ValueError("percentile must be within [0, 100]")
+        fraction = float(q) / 100.0
+        cumulative = np.cumsum(self._counts)
+        # The target is at most in_bounds, the last cumulative count, so the
+        # search lands inside the range.
+        index = int(np.searchsorted(cumulative, max(fraction * in_bounds, 1e-12)))
+        return _Cursor(fraction, index, int(cumulative[index]))
 
     def head_cutoff(self, percentile: float) -> float:
         """Head of the distribution (pre-warming window), rounded down."""

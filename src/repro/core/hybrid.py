@@ -208,10 +208,10 @@ class HybridHistogramPolicy(KeepAlivePolicy):
         return decision, PolicyMode.STANDARD_KEEPALIVE
 
     def _histogram_decision(self) -> tuple[PolicyDecision, PolicyMode]:
-        # head_cutoff / tail_cutoff of both percentiles, from one cumsum.
+        # head_cutoff / tail_cutoff of both percentiles, from their cursors.
         head_bin, tail_bin = self.histogram.percentile_bins(
             (self.config.head_percentile, self.config.tail_percentile)
-        ).tolist()
+        )
         width = self.histogram.bin_width_minutes
         head = head_bin * width
         tail = (tail_bin + 1) * width

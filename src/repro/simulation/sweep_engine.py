@@ -567,7 +567,7 @@ def _drain_row(
             histogram.observe(float(times[k] - times[k - 1]))
         cv[k] = histogram.bin_count_cv
         if histogram.in_bounds_count:
-            indices = histogram.percentile_bins(percentiles).tolist()
+            indices = histogram.percentile_bins(percentiles)
             for (_, recorded), index in zip(bins, indices):
                 recorded[k] = index
 

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.histogram import IdleTimeHistogram
+from repro.core.welford import Welford
 
 
 class TestConstruction:
@@ -26,6 +29,29 @@ class TestConstruction:
             IdleTimeHistogram(bin_width_minutes=0)
         with pytest.raises(ValueError):
             IdleTimeHistogram(range_minutes=0.5, bin_width_minutes=1.0)
+
+    @pytest.mark.parametrize("geometry", [(240.0, 1.0), (10.0, 1.0), (12.0, 0.5), (1.0, 1.0)])
+    def test_single_observation_cv_fresh_and_after_reset(self, geometry):
+        range_minutes, width = geometry
+        fresh = IdleTimeHistogram(range_minutes, width)
+        cleared = IdleTimeHistogram(range_minutes, width)
+        cleared.observe_many([0.0, 0.5, 300.0])
+        cleared.reset()
+        # Bin-count statistics built by adding one zero per bin.
+        zero_filled = IdleTimeHistogram.from_state(
+            np.zeros(fresh.num_bins, dtype=np.int64),
+            oob_count=0,
+            range_minutes=range_minutes,
+            bin_width_minutes=width,
+            bin_stats=Welford.from_values([0.0] * fresh.num_bins),
+        )
+        for histogram in (fresh, cleared, zero_filled):
+            histogram.observe(0.25)
+        # One count of 1 among num_bins bins: the CV is sqrt(num_bins - 1),
+        # exactly for 240 bins and up to the last bit for some others.
+        expected = math.sqrt(fresh.num_bins - 1)
+        assert fresh.bin_count_cv == pytest.approx(expected, rel=1e-15)
+        assert fresh.bin_count_cv == cleared.bin_count_cv == zero_filled.bin_count_cv
 
     def test_empty_histogram_state(self):
         histogram = IdleTimeHistogram()
@@ -84,6 +110,14 @@ class TestObservation:
         assert histogram.counts[2] == 4
         assert histogram.oob_count == 2
         assert histogram.total_count == 6
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 7])
+    def test_decay_floors_oob_count_like_bins(self, n):
+        histogram = IdleTimeHistogram(range_minutes=10)
+        histogram.observe_many([2.5] * n + [20.0] * n)
+        histogram.decay(0.5)
+        assert histogram.in_bounds_count == histogram.oob_count == n // 2
+        assert histogram.oob_fraction == 0.5
 
 
 class TestPercentiles:
@@ -205,3 +239,103 @@ class TestProperties:
     def test_percentile_bounded_by_range(self, idle_times):
         histogram = IdleTimeHistogram.from_idle_times(idle_times)
         assert 0 <= histogram.percentile(99, rounding="up") <= histogram.range_minutes
+
+
+# --------------------------------------------------------------------------- #
+# Percentile cursors against a fresh search
+# --------------------------------------------------------------------------- #
+def reference_percentile_bins(histogram: IdleTimeHistogram, percentiles) -> np.ndarray:
+    """The first bin whose cumulative count reaches each target, searched afresh."""
+    in_bounds = histogram.in_bounds_count
+    targets = np.asarray(percentiles) / 100 * in_bounds
+    return np.minimum(
+        np.searchsorted(np.cumsum(histogram.counts), np.maximum(targets, 1e-12)),
+        histogram.num_bins - 1,
+    )
+
+
+GEOMETRIES = [(10.0, 1.0), (12.0, 0.5), (7.0, 0.7), (1.0, 1.0), (240.0, 1.0)]
+
+#: Idle times as fractions of the histogram range: below 1 lands in bounds
+#: (0 is bin 0, just below 1 the last bin), 1 and above out of bounds.  A
+#: few fixed fractions pile counts into few bins, so cumulative counts
+#: often equal a target exactly.
+idle_fractions = st.one_of(
+    st.sampled_from([0.0, 0.3, 0.5, 0.999999, 1.0]),
+    st.floats(0.0, 1.0, exclude_max=True),
+    st.floats(1.0, 3.0),
+)
+
+#: Each step is a kind, idle times (observed, or merged in from a second
+#: histogram) and a decay factor.  Observations outnumber the kinds that
+#: drop every cursor, so cursors live long enough to move both ways.
+steps = st.lists(
+    st.tuples(
+        st.sampled_from(["observe"] * 8 + ["reset", "decay", "merge", "from_state"]),
+        st.lists(idle_fractions, min_size=1, max_size=3),
+        st.sampled_from([0.0, 0.5, 0.9, 1.0]),
+    ),
+    min_size=1,
+    max_size=60,
+)
+
+percentile_values = st.one_of(
+    st.sampled_from([0.0, 1e-9, 5.0, 25.0, 50.0, 75.0, 99.0, 100.0]),
+    st.floats(0.0, 100.0),
+    st.floats(0.0, 100.0).map(np.float64),
+)
+
+
+class TestPercentileCursors:
+    @given(
+        geometry=st.sampled_from(GEOMETRIES),
+        percentile_lists=st.lists(
+            st.lists(percentile_values, min_size=1, max_size=4), min_size=1, max_size=3
+        ),
+        steps=steps,
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_cursors_match_a_fresh_search_at_every_step(
+        self, geometry, percentile_lists, steps
+    ):
+        range_minutes, width = geometry
+        histogram = IdleTimeHistogram(range_minutes, width)
+        for number, (kind, fractions, factor) in enumerate(steps):
+            idle_times = [fraction * range_minutes for fraction in fractions]
+            if kind == "observe":
+                histogram.observe_many(idle_times)
+            elif kind == "reset":
+                histogram.reset()
+            elif kind == "decay":
+                histogram.decay(factor)
+            elif kind == "merge":
+                other = IdleTimeHistogram.from_idle_times(
+                    idle_times, range_minutes=range_minutes, bin_width_minutes=width
+                )
+                histogram = histogram.merge(other)
+            else:
+                histogram = IdleTimeHistogram.from_state(
+                    histogram.counts,
+                    oob_count=histogram.oob_count,
+                    range_minutes=range_minutes,
+                    bin_width_minutes=width,
+                    bin_stats=Welford.from_values(histogram.counts.astype(float)),
+                )
+            # Lists take turns, so a percentile may first be asked mid-sequence.
+            percentiles = percentile_lists[number % len(percentile_lists)]
+            if histogram.in_bounds_count == 0:
+                with pytest.raises(ValueError, match="no in-bounds"):
+                    histogram.percentile_bins(percentiles)
+                continue
+            bins = histogram.percentile_bins(percentiles)
+            assert bins == reference_percentile_bins(histogram, percentiles).tolist()
+            assert all(type(index) is int for index in bins)
+
+    def test_invalid_percentile_is_rejected_empty_or_not(self):
+        histogram = IdleTimeHistogram(range_minutes=10)
+        with pytest.raises(ValueError, match="percentile must be within"):
+            histogram.percentile_bins((5.0, 101.0))
+        histogram.observe(3.0)
+        with pytest.raises(ValueError, match="percentile must be within"):
+            histogram.percentile_bins((5.0, -1.0))
+        assert histogram.percentile_bins((5.0,)) == [3]
