@@ -11,7 +11,7 @@ The acceptance bar for the out-of-core pipeline, asserted directly:
 * The streamed archive is bit-identical to ``generate().store.save()``
   at small scale (chunk boundaries never touch the RNG stream).
 * Shared-memory shard results are byte-identical across 1/2/4 workers.
-* Parallel ``v2`` generation is byte-identical to the serial path for
+* Parallel generation is byte-identical to the serial path for
   any worker count, and on a >= 4-core machine at least 3x faster at 4
   workers with near-linear scaling at 2.
 * A 1M-app / ~100M-invocation fused generate+simulate run completes
@@ -45,7 +45,8 @@ from repro.policies.registry import fixed_keepalive_factory, hybrid_factory
 from repro.simulation.engine import RunnerOptions
 from repro.simulation.runner import WorkloadRunner
 from repro.trace.generator import GeneratorConfig, WorkloadGenerator
-from repro.trace.stream import open_streamed_store, stream_workload_to_store
+from repro.trace.store import InvocationStore
+from repro.trace.stream import stream_workload_to_store
 
 pytestmark = pytest.mark.slow_bench
 
@@ -74,7 +75,8 @@ from repro.policies.registry import hybrid_factory
 from repro.simulation.runner import WorkloadRunner
 from repro.simulation.engine import RunnerOptions
 from repro.trace.generator import GeneratorConfig
-from repro.trace.stream import open_streamed_store, stream_workload_to_store
+from repro.trace.store import InvocationStore
+from repro.trace.stream import stream_workload_to_store
 
 num_apps, out, target_rps, budget = (
     int(sys.argv[1]), sys.argv[2], float(sys.argv[3]), int(sys.argv[4])
@@ -86,7 +88,7 @@ start = time.perf_counter()
 stats = stream_workload_to_store(config, out)
 gen_seconds = time.perf_counter() - start
 
-store = open_streamed_store(stats.path)
+store = InvocationStore.open(stats.path)
 profile = store.memory_profile()
 start = time.perf_counter()
 result = WorkloadRunner(
@@ -209,7 +211,7 @@ MILLION_RSS_ABSOLUTE_BOUND_MB = 4096.0
 
 
 def test_parallel_generation_speedup_and_byte_identity(tmp_path, record_bench):
-    """v2 parallel generation: identical bytes, >= 3x at 4 workers."""
+    """Parallel generation: identical bytes, >= 3x at 4 workers."""
     # Byte-identity leg (always runs, any core count): the fork-based
     # fan-out must be invisible in the published archive.
     small = GeneratorConfig(
@@ -217,7 +219,6 @@ def test_parallel_generation_speedup_and_byte_identity(tmp_path, record_bench):
         duration_minutes=1440.0,
         seed=2020,
         target_rps=10.0,
-        rng_scheme="v2",
     )
     serial_small = stream_workload_to_store(small, tmp_path / "id1.npz", workers=1)
     parallel_small = stream_workload_to_store(
@@ -232,7 +233,6 @@ def test_parallel_generation_speedup_and_byte_identity(tmp_path, record_bench):
         duration_minutes=1440.0,
         seed=2020,
         target_rps=TARGET_RPS,
-        rng_scheme="v2",
     )
     seconds: dict[int, float] = {}
     invocations = 0
@@ -277,7 +277,7 @@ def test_parallel_generation_speedup_and_byte_identity(tmp_path, record_bench):
 
 
 #: One fused generate+simulate pass at full scale, in a child process:
-#: no disk round-trip, each chunk generated and simulated in one v2 pool
+#: no disk round-trip, each chunk generated and simulated in one pool
 #: worker, child-measured wall time and peak RSS.  The workers hold the
 #: simulation state, so the peak is the larger of the child's own and its
 #: largest worker's, and both parts are reported.
@@ -294,7 +294,7 @@ num_apps, target_rps, budget, gen_workers = (
 )
 config = GeneratorConfig(
     num_apps=num_apps, duration_minutes=1440.0, seed=2020,
-    target_rps=target_rps, rng_scheme="v2",
+    target_rps=target_rps,
 )
 start = time.perf_counter()
 results = simulate_streamed(
@@ -416,7 +416,7 @@ def test_shard_results_identical_across_1_2_4_workers(tmp_path):
         num_apps=2_000, duration_minutes=1440.0, seed=2020, target_rps=20.0
     )
     stats = stream_workload_to_store(config, tmp_path / "shard.npz")
-    store = open_streamed_store(stats.path)
+    store = InvocationStore.open(stats.path)
 
     for factory in (fixed_keepalive_factory(10.0), hybrid_factory()):
         reference = WorkloadRunner(

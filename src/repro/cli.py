@@ -63,7 +63,7 @@ from repro.simulation.engine import EXECUTION_MODES, SWEEP_MODES
 from repro.simulation.runner import PolicyComparison, RunnerOptions, WorkloadRunner
 from repro.simulation.sweep import BASELINE_KEEPALIVE_MINUTES, combined_figure_factories
 from repro.simulation.fused import simulate_streamed
-from repro.trace.generator import RNG_SCHEMES, GeneratorConfig, WorkloadGenerator
+from repro.trace.generator import GeneratorConfig, WorkloadGenerator
 from repro.trace.loader import load_dataset
 from repro.trace.sampling import sample_mid_range_apps
 from repro.trace.schema import Workload
@@ -86,17 +86,6 @@ def _add_workload_arguments(parser: argparse.ArgumentParser) -> None:
         type=float,
         default=4000.0,
         help="cap on per-app average invocations per day",
-    )
-    parser.add_argument(
-        "--rng-scheme",
-        choices=RNG_SCHEMES,
-        default="v1",
-        help=(
-            "generator randomness scheme: v1 threads one sequential stream "
-            "through all apps (legacy outputs), v2 keys an independent "
-            "stream per app (parallel generation, identical for any worker "
-            "count)"
-        ),
     )
     parser.add_argument(
         "--trace-dir",
@@ -165,7 +154,6 @@ def _workload_config(args: argparse.Namespace) -> GeneratorConfig:
         duration_minutes=args.days * MINUTES_PER_DAY,
         seed=args.seed,
         max_daily_rate=args.max_daily_rate,
-        rng_scheme=getattr(args, "rng_scheme", "v1"),
     )
 
 
@@ -207,11 +195,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             raise ValueError("--gen-workers must be at least 1")
         if args.chunk_apps < 1:
             raise ValueError("--chunk-apps must be at least 1")
-        if args.gen_workers > 1 and args.rng_scheme != "v2":
-            raise ValueError(
-                "--gen-workers above 1 requires --rng-scheme v2 (per-app "
-                "random streams)"
-            )
         results = simulate_streamed(
             _workload_config(args),
             factories,
@@ -291,7 +274,7 @@ def _open_store(path: Path) -> InvocationStore:
     try:
         return InvocationStore.open(path, mmap=True)
     except Exception as error:
-        raise SystemExit(
+        raise ValueError(
             f"{path} is neither a packed .npz store nor a dataset directory "
             f"({error})"
         ) from None
@@ -327,18 +310,12 @@ def _cmd_trace_gen(args: argparse.Namespace) -> int:
         raise ValueError("--workers must be at least 1")
     if args.chunk_apps < 1:
         raise ValueError("--chunk-apps must be at least 1")
-    if args.workers > 1 and args.rng_scheme != "v2":
-        raise ValueError(
-            "--workers above 1 requires --rng-scheme v2 (per-app random "
-            "streams make chunk output independent of worker count)"
-        )
     config = GeneratorConfig(
         num_apps=args.apps,
         duration_minutes=args.days * MINUTES_PER_DAY,
         seed=args.seed,
         max_daily_rate=args.max_daily_rate,
         target_rps=args.target_rps,
-        rng_scheme=args.rng_scheme,
     )
     start = time.perf_counter()
 
@@ -538,6 +515,11 @@ def _cmd_replay(args: argparse.Namespace) -> int:
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
+    if args.trace_dir is not None:
+        raise ValueError(
+            "experiments generate their own workload and cannot be combined "
+            "with --trace-dir"
+        )
     scale = ExperimentScale(
         num_apps=args.num_apps,
         duration_days=args.days,
@@ -605,8 +587,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         help=(
-            "processes that generate and simulate --fused chunks (requires "
-            "--rng-scheme v2 above 1; then --workers must stay 1)"
+            "processes that generate and simulate --fused chunks (above 1, "
+            "--workers must stay 1)"
         ),
     )
     simulate.add_argument(
@@ -707,19 +689,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         help=(
-            "parallel generation processes (requires --rng-scheme v2; the "
-            "archive is byte-identical for any worker count)"
-        ),
-    )
-    trace_gen.add_argument(
-        "--rng-scheme",
-        choices=RNG_SCHEMES,
-        default="v1",
-        help=(
-            "generator randomness scheme: v1 threads one sequential stream "
-            "through all apps (legacy outputs), v2 keys an independent "
-            "stream per app (parallel generation, identical for any worker "
-            "count)"
+            "parallel generation processes (the archive is byte-identical "
+            "for any worker count)"
         ),
     )
     trace_gen.set_defaults(handler=_cmd_trace_gen)
@@ -928,13 +899,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    """Run one sub-command; an invalid option value exits 2 with a usage
-    error on stderr, like an argparse error, instead of a traceback."""
+    """Run one sub-command; an invalid option value or a missing input path
+    exits 2 with a usage error on stderr, like an argparse error, instead
+    of a traceback."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except ValueError as error:
+    except (ValueError, FileNotFoundError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
 

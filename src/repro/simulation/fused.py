@@ -51,8 +51,7 @@ def simulate_streamed(
     """Generate a workload and simulate it in one streaming pass.
 
     Args:
-        config: Generator parameters (``rng_scheme="v2"`` required for
-            ``gen_workers > 1``).
+        config: Generator parameters.
         factories: Policy factories, as accepted by
             :meth:`~repro.simulation.runner.WorkloadRunner.run_policies`;
             any iterable, read once.

@@ -15,14 +15,18 @@ every published characteristic of Section 3:
   memory (Figure 8);
 * diurnal and weekly load modulation (Figure 4).
 
-The generator is deterministic for a given seed.
+The generator is deterministic for a given seed.  Its draws are
+counter-keyed: the population arrays come from one dedicated stream and
+every application's draws from its own, so any application range is a
+pure function of ``(seed, range)``
+(:meth:`WorkloadGenerator.generate_app_range`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -61,10 +65,7 @@ MINUTES_PER_DAY = 1440.0
 #: functions fire at most once per minute on average.
 STANDARD_TIMER_PERIODS: tuple[float, ...] = (1, 5, 10, 15, 30, 60, 120, 360, 720, 1440)
 
-#: Recognized values of :attr:`GeneratorConfig.rng_scheme`.
-RNG_SCHEMES: tuple[str, ...] = ("v1", "v2")
-
-#: Sub-stream tags of the ``v2`` counter-keyed RNG scheme (the same
+#: Sub-stream tags of the counter-keyed RNG scheme (the same
 #: ``default_rng([seed, tag, ...])`` derivation the fault layer uses per
 #: invoker): one stream for the vectorized population sampling, and one
 #: per-application stream keyed by application index for everything
@@ -106,22 +107,16 @@ class GeneratorConfig:
             ``None`` keeps the sampled rates.  The per-app
             ``max_invocations_per_app`` cap still applies after
             rescaling, so extreme targets on tiny populations saturate.
-        rng_scheme: Version of the random-number derivation scheme.
-            ``"v1"`` (the historical default) threads one sequential
-            generator through the population sampling and then through
-            every application in index order — bit-stable, but
-            inherently serial: application ``i``'s draws depend on every
-            draw before them.  ``"v2"`` derives the population arrays
+        rng_scheme: Name of the random-number derivation scheme; its
+            only legal value is ``"v2"``.  The population arrays come
             from a dedicated ``default_rng([seed, tag])`` stream and
             every application's dynamic draws from its own
-            ``default_rng([seed, tag, app_index])`` stream, making each
-            emitted chunk a **pure function of (seed, app range)** —
-            byte-identical output for any chunk size and any worker
-            count, which is what permits parallel generation
-            (:func:`repro.trace.stream.stream_workload_to_store` with
-            ``workers > 1``).  The two schemes sample the same marginal
-            distributions but produce different (individually pinned)
-            byte streams for the same seed.
+            ``default_rng([seed, tag, app_index])`` stream, so any app
+            range is a **pure function of (seed, range)**: byte-identical
+            output for any chunk size and any worker count
+            (:func:`repro.trace.stream.stream_workload_to_store`).  The
+            field stays so that configs spelling ``rng_scheme="v2"``
+            keep working; the sequential ``v1`` scheme was removed.
     """
 
     num_apps: int = 500
@@ -135,12 +130,13 @@ class GeneratorConfig:
     bursty_fraction: float = 0.55
     diurnal_fraction: float = 0.6
     target_rps: float | None = None
-    rng_scheme: str = "v1"
+    rng_scheme: str = "v2"
 
     def __post_init__(self) -> None:
-        if self.rng_scheme not in RNG_SCHEMES:
+        if self.rng_scheme != "v2":
             raise ValueError(
-                f"unknown rng_scheme {self.rng_scheme!r}; expected one of {RNG_SCHEMES}"
+                f"unsupported rng_scheme {self.rng_scheme!r}: the sequential 'v1' "
+                "scheme was removed and 'v2' is the only scheme"
             )
         if self.num_apps < 1:
             raise ValueError("num_apps must be at least 1")
@@ -206,91 +202,36 @@ class WorkloadGenerator:
 
     def __init__(self, config: GeneratorConfig | None = None) -> None:
         self.config = config or GeneratorConfig()
-        # v2-scheme population arrays, computed once per generator (a pure
-        # function of the seed, so caching never changes output).
+        # Population arrays, computed once per generator (a pure function
+        # of the seed, so caching never changes output).
         self._population: _Population | None = None
 
     # ------------------------------------------------------------------ #
     def generate(self) -> Workload:
         """Synthesize the full workload (materialized in memory).
 
-        Thin accumulation over :meth:`generate_chunks`, so the monolithic
-        and streaming paths are one code path and bit-identical per seed.
+        The whole app range in one :meth:`generate_app_range` call, so the
+        in-memory and streaming paths are one code path and bit-identical
+        per seed.
         """
         config = self.config
-        apps: list[AppSpec] = []
-        app_times: list[np.ndarray] = []
-        app_positions: list[np.ndarray] = []
-        for chunk in self.generate_chunks(chunk_apps=config.num_apps):
-            apps.extend(chunk.apps)
-            app_times.extend(chunk.app_times)
-            app_positions.extend(chunk.app_positions)
+        chunk = self.generate_app_range(0, config.num_apps)
         # Emit columns straight into the CSR store: no per-function dicts,
         # one stable per-app time sort instead of a sort per function.
         store = InvocationStore.from_app_columns(
-            [(app.app_id, app.function_ids()) for app in apps],
-            app_times,
-            app_positions,
+            chunk.app_functions(),
+            chunk.app_times,
+            chunk.app_positions,
             config.duration_minutes,
         )
-        return Workload.from_store(apps, store)
-
-    def generate_chunks(self, chunk_apps: int = 4096) -> Iterator[WorkloadChunk]:
-        """Synthesize the workload as a stream of per-app column chunks.
-
-        Under the ``v1`` scheme the single seeded RNG is threaded through
-        the population sampling and then through every application in
-        index order, exactly as the monolithic path always did, so the
-        emitted columns are bit-identical for any chunk size — the
-        boundary between chunks never touches the random stream.  Under
-        ``v2`` each chunk is :meth:`generate_app_range`, a pure function
-        of ``(seed, app range)`` — the same bit-identity, plus chunks may
-        be generated out of order or in parallel.  Peak memory is the
-        population-sampling arrays (``O(num_apps)`` scalars) plus one
-        chunk of columns, which is what makes million-app streaming
-        generation possible (see
-        :func:`repro.trace.stream.stream_workload_to_store`).
-
-        Args:
-            chunk_apps: Applications per emitted chunk (the last chunk may
-                be smaller).
-        """
-        if chunk_apps < 1:
-            raise ValueError("chunk_apps must be at least 1")
-        config = self.config
-        if config.rng_scheme == "v2":
-            for start in range(0, config.num_apps, chunk_apps):
-                yield self.generate_app_range(
-                    start, min(start + chunk_apps, config.num_apps)
-                )
-            return
-        rng = np.random.default_rng(config.seed)
-        population = self._sample_population(rng)
-
-        apps: list[AppSpec] = []
-        app_times: list[np.ndarray] = []
-        app_positions: list[np.ndarray] = []
-        start_index = 0
-        for index in range(config.num_apps):
-            app, times, positions = self._generate_app(rng, index, population)
-            apps.append(app)
-            app_times.append(times)
-            app_positions.append(positions)
-            if len(apps) == chunk_apps:
-                yield WorkloadChunk(
-                    start_index, tuple(apps), tuple(app_times), tuple(app_positions)
-                )
-                start_index = index + 1
-                apps, app_times, app_positions = [], [], []
-        if apps:
-            yield WorkloadChunk(
-                start_index, tuple(apps), tuple(app_times), tuple(app_positions)
-            )
+        return Workload.from_store(chunk.apps, store)
 
     def generate_app_range(self, start_app: int, stop_app: int) -> WorkloadChunk:
-        """Synthesize applications ``[start_app, stop_app)`` (``v2`` only).
+        """Synthesize applications ``[start_app, stop_app)``.
 
-        A **pure function of ``(seed, start_app, stop_app)``**: every
+        The one generation primitive: :meth:`generate`, the streamed
+        store and the fused pipeline are all built from its ranges.  A
+        **pure function of ``(seed, start_app, stop_app)``**: every
         application's dynamic draws come from its own counter-keyed
         stream (``default_rng([seed, tag, app_index])``) and the
         population arrays from a dedicated stream, so the result is
@@ -300,11 +241,6 @@ class WorkloadGenerator:
         built on.
         """
         config = self.config
-        if config.rng_scheme != "v2":
-            raise ValueError(
-                "generate_app_range requires rng_scheme='v2' (the v1 scheme "
-                "threads one sequential stream through all applications)"
-            )
         if not 0 <= start_app <= stop_app <= config.num_apps:
             raise ValueError(
                 f"app range [{start_app}, {stop_app}) outside [0, {config.num_apps})"
@@ -324,26 +260,26 @@ class WorkloadGenerator:
         )
 
     def app_rng(self, app_index: int) -> np.random.Generator:
-        """The ``v2`` per-application random stream (counter-keyed)."""
+        """The per-application random stream (counter-keyed)."""
         return np.random.default_rng(
             [self.config.seed, _V2_APP_STREAM, int(app_index)]
         )
 
     def ensure_population(self) -> _Population:
-        """Sample (and cache) the ``v2`` population arrays.
+        """Sample (and cache) the vectorized population arrays.
 
-        Called eagerly by the parallel generation driver *before* forking
-        workers so the ``O(num_apps)`` arrays are shared copy-on-write
-        instead of re-sampled per worker.
+        Called eagerly by the chunk stream *before* forking workers so the
+        ``O(num_apps)`` arrays are shared copy-on-write instead of
+        re-sampled per worker.
         """
         if self._population is None:
-            rng = np.random.default_rng([self.config.seed, _V2_POPULATION_STREAM])
-            self._population = self._sample_population(rng)
+            self._population = self._sample_population()
         return self._population
 
-    def _sample_population(self, rng: np.random.Generator) -> _Population:
-        """Vectorized population sampling (shared verbatim by v1 and v2)."""
+    def _sample_population(self) -> _Population:
+        """Vectorized population sampling from its dedicated stream."""
         config = self.config
+        rng = np.random.default_rng([config.seed, _V2_POPULATION_STREAM])
         combos = sample_trigger_combinations(rng, config.num_apps)
         function_counts = np.minimum(
             sample_functions_per_app(rng, config.num_apps), config.max_functions_per_app
@@ -364,7 +300,7 @@ class WorkloadGenerator:
     def _generate_app(
         self, rng: np.random.Generator, index: int, population: _Population
     ) -> tuple[AppSpec, np.ndarray, np.ndarray]:
-        """Synthesize one application from the given stream (v1 and v2)."""
+        """Synthesize one application from its own stream."""
         config = self.config
         app_id = f"app{index:05d}"
         owner_id = f"owner{index % max(config.num_apps // 3, 1):05d}"

@@ -31,12 +31,7 @@ from typing import IO, Sequence
 
 import numpy as np
 
-from repro.trace.store import (
-    AppFunctions,
-    InvocationStore,
-    _finite_or_raise,
-    normalize_app_block,
-)
+from repro.trace.store import AppFunctions, _finite_or_raise, normalize_app_block
 
 __all__ = ["InvocationStoreWriter"]
 
@@ -61,8 +56,11 @@ class InvocationStoreWriter:
     the partial state is discarded if the body raises::
 
         with InvocationStoreWriter(out, duration_minutes=1440) as writer:
-            for chunk in generator.generate_chunks():
-                writer.append_apps(...)
+            for start in range(0, num_apps, 4096):
+                chunk = generator.generate_app_range(start, min(start + 4096, num_apps))
+                writer.append_apps(
+                    chunk.app_functions(), chunk.app_times, chunk.app_positions
+                )
         store = InvocationStore.open(writer.path, mmap=True)
     """
 
@@ -350,8 +348,3 @@ class InvocationStoreWriter:
                 raise ValueError(
                     f"id file {ids_path} holds {written} ids, expected {count}"
                 )
-
-
-def open_written_store(path: str | Path, *, mmap: bool = True) -> InvocationStore:
-    """Convenience: open an archive produced by the writer (or ``save``)."""
-    return InvocationStore.open(path, mmap=mmap)

@@ -1,29 +1,29 @@
 """Out-of-core trace generation: chunked generator → on-disk store.
 
-The one-call driver behind ``repro trace gen``: it threads
-:meth:`WorkloadGenerator.generate_chunks
-<repro.trace.generator.WorkloadGenerator.generate_chunks>` straight into
-an :class:`~repro.trace.store_writer.InvocationStoreWriter`, so a
+The one-call driver behind ``repro trace gen``: it threads chunks of
+:meth:`WorkloadGenerator.generate_app_range
+<repro.trace.generator.WorkloadGenerator.generate_app_range>` straight
+into an :class:`~repro.trace.store_writer.InvocationStoreWriter`, so a
 100k-to-million-app workload lands on disk with only one chunk of
 invocation columns (plus ``O(num_apps)`` bookkeeping) ever resident.  The
 resulting archive is bit-identical to ``generate().store.save(...)`` for
 the same :class:`~repro.trace.generator.GeneratorConfig` and re-opens
-memory-mapped, ready for the memory-bounded engine passes and
-shared-memory parallel shards.
+memory-mapped (:meth:`InvocationStore.open
+<repro.trace.store.InvocationStore.open>`), ready for the memory-bounded
+engine passes and shared-memory parallel shards.
 
-Under ``rng_scheme="v2"`` generation also fans out over forked workers:
-each chunk is a pure function of ``(seed, app range)``, so
-:func:`iter_chunk_columns` dispatches chunk ranges to a pool and
+Each chunk is a pure function of ``(seed, app range)``, so
+:func:`iter_chunk_columns` dispatches chunk ranges to a forked pool and
 reassembles results **in chunk order** through the bounded
-:func:`~repro.core.pool.fork_pool_imap` window — the archive bytes are
-identical for any worker count and chunk size.  The same iterator drives
-the fused generate→simulate pipeline
-(:func:`repro.simulation.fused.simulate_streamed`), which skips the disk
-round-trip entirely: it hands the iterator a per-chunk function that
-runs where the chunk is made (the worker that generated it), so a fused
-chunk never leaves its worker, only the function's results travel back
-to the parent, and the in-flight window holds those results rather than
-chunk columns.
+:func:`~repro.core.pool.fork_pool_imap` window (a lazy in-process loop
+for one worker) — the archive bytes are identical for any worker count
+and chunk size.  The same iterator drives the fused generate→simulate
+pipeline (:func:`repro.simulation.fused.simulate_streamed`), which skips
+the disk round-trip entirely: it hands the iterator a per-chunk function
+that runs where the chunk is made (the worker that generated it), so a
+fused chunk never leaves its worker, only the function's results travel
+back to the parent, and the in-flight window holds those results rather
+than chunk columns.
 """
 
 from __future__ import annotations
@@ -35,8 +35,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from repro.core.pool import fork_pool_imap
-from repro.trace.generator import GeneratorConfig, WorkloadChunk, WorkloadGenerator
-from repro.trace.store import InvocationStore
+from repro.trace.generator import GeneratorConfig, WorkloadGenerator
 from repro.trace.store_writer import InvocationStoreWriter
 
 __all__ = [
@@ -90,7 +89,7 @@ class StreamStats:
     num_invocations: int
     duration_minutes: float
     on_disk_bytes: int
-    rng_scheme: str = "v1"
+    rng_scheme: str
     workers: int = 1
 
     def summary(self) -> dict[str, float]:
@@ -103,16 +102,11 @@ class StreamStats:
         }
 
 
-def _validate_stream_arguments(config: GeneratorConfig, chunk_apps: int, workers: int) -> None:
+def _validate_stream_arguments(chunk_apps: int, workers: int) -> None:
     if chunk_apps < 1:
         raise ValueError("chunk_apps must be at least 1")
     if workers < 1:
         raise ValueError("workers must be at least 1")
-    if workers > 1 and config.rng_scheme != "v2":
-        raise ValueError(
-            "parallel generation (workers > 1) requires rng_scheme='v2': the v1 "
-            "scheme threads one sequential random stream through all applications"
-        )
 
 
 def iter_chunk_columns(
@@ -127,12 +121,14 @@ def iter_chunk_columns(
 
     The shared producer behind both sinks — the on-disk writer
     (:func:`stream_workload_to_store`) and the fused simulation pass
-    (:func:`repro.simulation.fused.simulate_streamed`).  With
-    ``workers > 1`` (``v2`` scheme only) chunk ranges are dispatched to a
-    forked pool and reassembled in chunk order with at most
+    (:func:`repro.simulation.fused.simulate_streamed`).  Each chunk is
+    one :meth:`~repro.trace.generator.WorkloadGenerator.generate_app_range`
+    call.  With ``workers > 1`` chunk ranges are dispatched to a forked
+    pool and reassembled in chunk order with at most
     ``max_pending_chunks`` in flight, so a slow consumer throttles the
-    workers and peak memory stays one window of results.  Output is
-    byte-for-byte independent of ``workers``.
+    workers and peak memory stays one window of results; with one worker
+    the chunks are made lazily in this process.  Output is byte-for-byte
+    independent of ``workers``.
 
     Args:
         config: Generator parameters.
@@ -142,35 +138,27 @@ def iter_chunk_columns(
             ``workers + 2``.
         per_chunk: Optional function applied to each chunk where the
             chunk is made: in the forked worker that generated it, or in
-            this process for one worker and for the ``v1`` scheme.  The
-            iterator then yields its results instead of the chunks, still
-            in chunk order; with ``workers > 1`` they must pickle, and the
-            window holds results rather than chunk columns.
+            this process for one worker.  The iterator then yields its
+            results instead of the chunks, still in chunk order; with
+            ``workers > 1`` they must pickle, and the window holds
+            results rather than chunk columns.
     """
-    _validate_stream_arguments(config, chunk_apps, workers)
+    _validate_stream_arguments(chunk_apps, workers)
     generator = WorkloadGenerator(config)
     num_chunks = (config.num_apps + chunk_apps - 1) // chunk_apps
-
-    def finish(chunk: WorkloadChunk) -> object:
-        columns = ChunkColumns(
-            chunk.start_index, chunk.app_functions(), chunk.app_times, chunk.app_positions
-        )
-        return columns if per_chunk is None else per_chunk(columns)
-
-    if workers == 1 or num_chunks <= 1:
-        for chunk in generator.generate_chunks(chunk_apps=chunk_apps):
-            yield finish(chunk)
-        return
-
     # Sample the O(num_apps) population arrays before forking so every
     # worker shares them copy-on-write instead of re-sampling.
     generator.ensure_population()
 
     def task(chunk_id: int) -> object:
         start = chunk_id * chunk_apps
-        return finish(
-            generator.generate_app_range(start, min(start + chunk_apps, config.num_apps))
+        chunk = generator.generate_app_range(
+            start, min(start + chunk_apps, config.num_apps)
         )
+        columns = ChunkColumns(
+            chunk.start_index, chunk.app_functions(), chunk.app_times, chunk.app_positions
+        )
+        return columns if per_chunk is None else per_chunk(columns)
 
     yield from fork_pool_imap(task, num_chunks, workers, max_pending=max_pending_chunks)
 
@@ -192,8 +180,7 @@ def stream_workload_to_store(
         path: Output ``.npz`` archive path.
         chunk_apps: Applications generated and appended per chunk — the
             memory high-water mark of the column data.
-        workers: Generation worker processes.  Requires
-            ``config.rng_scheme == "v2"`` when above one; the archive is
+        workers: Generation worker processes; the archive is
             byte-identical for every worker count.
         max_pending_chunks: Parallel reassembly window (see
             :func:`iter_chunk_columns`).
@@ -202,7 +189,7 @@ def stream_workload_to_store(
     Returns:
         A :class:`StreamStats` describing the published archive.
     """
-    _validate_stream_arguments(config, chunk_apps, workers)
+    _validate_stream_arguments(chunk_apps, workers)
     chunks = iter_chunk_columns(
         config, chunk_apps=chunk_apps, workers=workers, max_pending_chunks=max_pending_chunks
     )
@@ -223,8 +210,3 @@ def stream_workload_to_store(
         rng_scheme=config.rng_scheme,
         workers=workers,
     )
-
-
-def open_streamed_store(path: str | Path, *, mmap: bool = True) -> InvocationStore:
-    """Open a streamed (or ``save()``-written) archive, mapped by default."""
-    return InvocationStore.open(path, mmap=mmap)

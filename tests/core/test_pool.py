@@ -84,7 +84,6 @@ def fused_run(yielded):
     fused.InvocationStore = KillingStore
     config = GeneratorConfig(
         num_apps=18, duration_minutes=360.0, seed=21, max_daily_rate=200.0,
-        rng_scheme="v2",
     )
     fused.simulate_streamed(config, [hybrid_factory()], chunk_apps=5, gen_workers=2)
 

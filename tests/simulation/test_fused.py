@@ -20,7 +20,8 @@ from repro.simulation import fused as fused_module
 from repro.simulation.fused import simulate_streamed
 from repro.simulation.runner import RunnerOptions, WorkloadRunner
 from repro.trace.generator import GeneratorConfig
-from repro.trace.stream import open_streamed_store, stream_workload_to_store
+from repro.trace.store import InvocationStore
+from repro.trace.stream import stream_workload_to_store
 
 SMALL = dict(
     num_apps=18, duration_minutes=360.0, seed=21, max_daily_rate=200.0
@@ -33,7 +34,7 @@ def factories():
 
 def disk_round_trip(tmp_path, config, options):
     stats = stream_workload_to_store(config, tmp_path / "disk.npz", chunk_apps=5)
-    store = open_streamed_store(stats.path)
+    store = InvocationStore.open(stats.path)
     return WorkloadRunner(store, options).run_policies(factories())
 
 
@@ -43,7 +44,7 @@ def disk_round_trip(tmp_path, config, options):
     ids=["serial", "auto", "sharded", "budgeted"],
 )
 def test_fused_equals_disk_round_trip_per_route(tmp_path, route):
-    config = GeneratorConfig(**SMALL, rng_scheme="v2")
+    config = GeneratorConfig(**SMALL)
     options = RunnerOptions(**route)
     disk = disk_round_trip(tmp_path, config, options)
     fused = simulate_streamed(config, factories(), options=options, chunk_apps=5)
@@ -52,22 +53,13 @@ def test_fused_equals_disk_round_trip_per_route(tmp_path, route):
         assert disk[name].app_results == fused[name].app_results, (route, name)
 
 
-def test_fused_works_under_v1_scheme(tmp_path):
-    config = GeneratorConfig(**SMALL)
-    options = RunnerOptions()
-    disk = disk_round_trip(tmp_path, config, options)
-    fused = simulate_streamed(config, factories(), options=options, chunk_apps=7)
-    for name in disk:
-        assert disk[name].app_results == fused[name].app_results, name
-
-
 @pytest.mark.parametrize(
     "route",
     [{"execution": "serial"}, {}, {"max_resident_bytes": 16 * 1024}],
     ids=["serial", "auto", "budgeted"],
 )
 def test_fused_parallel_generation_matches_serial(route):
-    config = GeneratorConfig(**SMALL, rng_scheme="v2")
+    config = GeneratorConfig(**SMALL)
     options = RunnerOptions(**route)
     serial = simulate_streamed(config, factories(), options=options, chunk_apps=4)
     for gen_workers in (2, 3):
@@ -92,7 +84,7 @@ def test_fused_simulates_in_the_generation_workers(monkeypatch):
         calls.append(self)
         return run_policies(self, *args, **kwargs)
 
-    config = GeneratorConfig(**SMALL, rng_scheme="v2")
+    config = GeneratorConfig(**SMALL)
     serial = simulate_streamed(config, factories(), chunk_apps=5)
     monkeypatch.setattr(WorkloadRunner, "run_policies", counting)
     parallel = simulate_streamed(config, factories(), chunk_apps=5, gen_workers=2)
@@ -110,7 +102,7 @@ def failing_builder():
 
 
 def test_fused_worker_error_surfaces_in_parent():
-    config = GeneratorConfig(**SMALL, rng_scheme="v2")
+    config = GeneratorConfig(**SMALL)
     with pytest.raises(FactoryFailure) as raised:
         simulate_streamed(
             config, [PolicyFactory("failing", failing_builder)], chunk_apps=5, gen_workers=2
@@ -119,7 +111,7 @@ def test_fused_worker_error_surfaces_in_parent():
 
 
 def test_fused_reads_one_shot_factory_iterables_once():
-    config = GeneratorConfig(**SMALL, rng_scheme="v2")
+    config = GeneratorConfig(**SMALL)
     from_list = simulate_streamed(config, factories(), chunk_apps=5)
     from_generator = simulate_streamed(
         config, (factory for factory in factories()), chunk_apps=5
@@ -134,14 +126,14 @@ def test_fused_rejects_duplicate_names_before_generating(monkeypatch):
         raise AssertionError("a chunk was generated before the names were checked")
 
     monkeypatch.setattr(fused_module, "iter_chunk_columns", no_generation)
-    config = GeneratorConfig(**SMALL, rng_scheme="v2")
+    config = GeneratorConfig(**SMALL)
     duplicated = [fixed_keepalive_factory(10.0), fixed_keepalive_factory(10.0)]
     with pytest.raises(ValueError, match="duplicate"):
         simulate_streamed(config, duplicated, chunk_apps=5)
 
 
 def test_fused_rejects_nested_pools():
-    config = GeneratorConfig(**SMALL, rng_scheme="v2")
+    config = GeneratorConfig(**SMALL)
     with pytest.raises(ValueError, match="gen_workers alone"):
         simulate_streamed(
             config, factories(), options=RunnerOptions(workers=2), gen_workers=2
@@ -149,7 +141,7 @@ def test_fused_rejects_nested_pools():
 
 
 def test_fused_chunk_size_invisible_in_results():
-    config = GeneratorConfig(**SMALL, rng_scheme="v2")
+    config = GeneratorConfig(**SMALL)
     small_chunks = simulate_streamed(config, factories(), chunk_apps=3)
     one_chunk = simulate_streamed(config, factories(), chunk_apps=SMALL["num_apps"])
     for name in small_chunks:
@@ -157,7 +149,7 @@ def test_fused_chunk_size_invisible_in_results():
 
 
 def test_fused_progress_and_result_shape():
-    config = GeneratorConfig(**SMALL, rng_scheme="v2")
+    config = GeneratorConfig(**SMALL)
     seen = []
     results = simulate_streamed(
         config,
@@ -171,9 +163,3 @@ def test_fused_progress_and_result_shape():
         # full-store run), so the row count is bounded by the population.
         assert 0 < result.num_apps <= config.num_apps
         assert result.total_invocations > 0
-
-
-def test_fused_rejects_parallel_generation_under_v1():
-    config = GeneratorConfig(**SMALL)
-    with pytest.raises(ValueError, match="v2"):
-        simulate_streamed(config, factories(), gen_workers=2)

@@ -375,7 +375,7 @@ class TestLazyRows:
 
 class TestColumnBlocksTravel:
     CONFIG = GeneratorConfig(
-        num_apps=18, duration_minutes=360.0, seed=21, max_daily_rate=200.0, rng_scheme="v2"
+        num_apps=18, duration_minutes=360.0, seed=21, max_daily_rate=200.0
     )
 
     def factories(self):
@@ -423,7 +423,7 @@ class TestColumnBlocksTravel:
 def test_hybrid_result_columns_stay_small():
     """One hybrid policy's result holds at most 96 bytes per application."""
     config = GeneratorConfig(
-        num_apps=1500, duration_minutes=240.0, seed=5, max_daily_rate=50.0, rng_scheme="v2"
+        num_apps=1500, duration_minutes=240.0, seed=5, max_daily_rate=50.0
     )
     store = WorkloadGenerator(config).generate().store
     runner = WorkloadRunner(store)

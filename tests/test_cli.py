@@ -71,6 +71,10 @@ class TestCommands:
             (["replay", "--policies", "bogus"], "unknown policy kind 'bogus'"),
             (["experiment", "fig14", "--workers", "0"], "worker count must be at least 1"),
             (["characterize", "--num-apps", "0"], "num_apps must be at least 1"),
+            (
+                ["experiment", "fig1", "--trace-dir", "missing-trace"],
+                "experiments generate their own workload",
+            ),
         ],
     )
     def test_invalid_value_is_a_usage_error(self, capsys, command, message):
@@ -79,6 +83,24 @@ class TestCommands:
         err = capsys.readouterr().err
         assert f"error: {message}" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["characterize", "--trace-dir", "{missing}"],
+            ["trace", "pack", "{missing}", "{out}"],
+            ["trace", "info", "{missing}.npz"],
+        ],
+        ids=["characterize", "trace-pack", "trace-info"],
+    )
+    def test_missing_trace_path_is_a_usage_error(self, tmp_path, capsys, command):
+        paths = {"missing": tmp_path / "missing", "out": tmp_path / "out.npz"}
+        assert main([part.format(**paths) for part in command]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert str(paths["missing"]) in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out.npz").exists()
 
     def test_generate_and_reload(self, tmp_path, capsys):
         out_dir = tmp_path / "trace"
@@ -141,7 +163,7 @@ class TestCommands:
         assert "0.00 MB" in output
 
     def test_trace_gen_parallel_summary_and_byte_identity(self, tmp_path, capsys):
-        common = ["--apps", "24", "--days", "1", "--seed", "8", "--rng-scheme", "v2"]
+        common = ["--apps", "24", "--days", "1", "--seed", "8"]
         serial = tmp_path / "serial.npz"
         parallel = tmp_path / "parallel.npz"
         assert main(["trace", "gen", str(serial), *common, "--workers", "1"]) == 0
@@ -169,7 +191,6 @@ class TestCommands:
         [
             (["--workers", "0"], "--workers must be at least 1"),
             (["--chunk-apps", "0"], "--chunk-apps must be at least 1"),
-            (["--workers", "2"], "requires --rng-scheme v2"),
         ],
     )
     def test_trace_gen_invalid_arguments_exit_2(
@@ -181,7 +202,7 @@ class TestCommands:
         assert not (tmp_path / "x.npz").exists()
 
     def test_simulate_fused_matches_two_step(self, capsys):
-        arguments = [*SMALL, "--rng-scheme", "v2", "--policies", "fixed:10", "hybrid:240"]
+        arguments = [*SMALL, "--policies", "fixed:10", "hybrid:240"]
         assert main(["simulate", *arguments]) == 0
         two_step = capsys.readouterr().out
         assert main(["simulate", *arguments, "--fused", "--chunk-apps", "8"]) == 0
@@ -195,10 +216,9 @@ class TestCommands:
         "arguments, message",
         [
             (["--gen-workers", "0"], "--gen-workers must be at least 1"),
-            (["--gen-workers", "2"], "requires --rng-scheme v2"),
             (["--chunk-apps", "0"], "--chunk-apps must be at least 1"),
             (
-                ["--rng-scheme", "v2", "--gen-workers", "2", "--workers", "2"],
+                ["--gen-workers", "2", "--workers", "2"],
                 "pass the process count as gen_workers alone",
             ),
         ],

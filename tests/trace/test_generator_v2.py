@@ -1,12 +1,11 @@
-"""Tests for the versioned generator RNG schemes (``v1`` vs ``v2``).
+"""Tests for the generator's counter-keyed RNG scheme (``v2``).
 
-``v2`` is the parallel-generation contract: every application's dynamic
-draws come from its own counter-keyed stream, so any app range is a pure
-function of ``(seed, start, stop)`` and chunk boundaries, generation
-order, and worker count can never change the output.  ``v1`` is the
-legacy single-stream scheme whose outputs are pinned byte-for-byte by
-golden digests — refactors of the generator internals must not move
-either stream.
+Every application's dynamic draws come from its own counter-keyed
+stream, so any app range is a pure function of ``(seed, start, stop)``
+and chunk boundaries, generation order, and worker count can never
+change the output.  The stream is pinned byte-for-byte by a golden
+digest — refactors of the generator internals must not move it.  The
+sequential ``v1`` scheme was removed and is rejected by name.
 """
 
 from __future__ import annotations
@@ -18,23 +17,22 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.trace.generator import RNG_SCHEMES, GeneratorConfig, WorkloadGenerator
+from repro.trace.generator import GeneratorConfig, WorkloadGenerator
 
 GOLDEN_CONFIG = dict(
     num_apps=12, duration_minutes=360.0, seed=7, max_daily_rate=100.0
 )
 
-#: sha256 of the saved archive per scheme for GOLDEN_CONFIG, pinned so
-#: generator refactors cannot silently shift either random stream.
-GOLDEN_DIGESTS = {
-    "v1": "4f1b6f404217fbad2000f680989594e673b39b5b73eed17ea90544ecd3e3e210",
-    "v2": "3982068ca060a1895cffc830977ad86a1db4c724284799cbd4f39c197ed8e17c",
-}
+#: sha256 of the saved archive for GOLDEN_CONFIG, pinned so generator
+#: refactors cannot silently shift the random stream.
+GOLDEN_DIGEST = "3982068ca060a1895cffc830977ad86a1db4c724284799cbd4f39c197ed8e17c"
 
 
 def flatten(generator: WorkloadGenerator, chunk_apps: int):
     apps, times, positions = [], [], []
-    for chunk in generator.generate_chunks(chunk_apps=chunk_apps):
+    num_apps = generator.config.num_apps
+    for start in range(0, num_apps, chunk_apps):
+        chunk = generator.generate_app_range(start, min(start + chunk_apps, num_apps))
         apps.extend(chunk.apps)
         times.extend(chunk.app_times)
         positions.extend(chunk.app_positions)
@@ -43,44 +41,34 @@ def flatten(generator: WorkloadGenerator, chunk_apps: int):
 
 class TestSchemeValidation:
     def test_known_schemes(self):
-        assert RNG_SCHEMES == ("v1", "v2")
-        for scheme in RNG_SCHEMES:
-            GeneratorConfig(num_apps=3, duration_minutes=60.0, rng_scheme=scheme)
+        assert GeneratorConfig(num_apps=3, duration_minutes=60.0).rng_scheme == "v2"
+        GeneratorConfig(num_apps=3, duration_minutes=60.0, rng_scheme="v2")
 
     def test_unknown_scheme_rejected(self):
         with pytest.raises(ValueError, match="rng_scheme"):
             GeneratorConfig(num_apps=3, duration_minutes=60.0, rng_scheme="v3")
 
-    def test_default_scheme_is_v1(self):
-        assert GeneratorConfig(num_apps=3, duration_minutes=60.0).rng_scheme == "v1"
+    def test_removed_v1_scheme_rejected(self):
+        with pytest.raises(ValueError, match="'v1' scheme was removed"):
+            GeneratorConfig(num_apps=3, duration_minutes=60.0, rng_scheme="v1")
 
 
 class TestGoldenOutputs:
-    @pytest.mark.parametrize("scheme", RNG_SCHEMES)
-    def test_archive_digest_pinned(self, tmp_path, scheme):
-        config = GeneratorConfig(**GOLDEN_CONFIG, rng_scheme=scheme)
-        path = tmp_path / f"{scheme}.npz"
-        WorkloadGenerator(config).generate().store.save(path)
-        digest = hashlib.sha256(path.read_bytes()).hexdigest()
-        assert digest == GOLDEN_DIGESTS[scheme], scheme
-
-    def test_schemes_produce_distinct_workloads(self):
-        v1 = WorkloadGenerator(GeneratorConfig(**GOLDEN_CONFIG)).generate()
-        v2 = WorkloadGenerator(
-            GeneratorConfig(**GOLDEN_CONFIG, rng_scheme="v2")
-        ).generate()
-        assert v1.total_invocations != v2.total_invocations
+    def test_archive_digest_pinned(self, tmp_path):
+        # No rng_scheme argument: the default is the counter-keyed stream,
+        # and generate() is byte-identical to the pinned v2 archive.
+        path = tmp_path / "golden.npz"
+        WorkloadGenerator(GeneratorConfig(**GOLDEN_CONFIG)).generate().store.save(path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_DIGEST
 
 
 class TestV2Purity:
     def test_generate_app_range_matches_full_generation(self):
-        config = GeneratorConfig(
-            num_apps=30, duration_minutes=720.0, seed=13, rng_scheme="v2"
-        )
+        config = GeneratorConfig(num_apps=30, duration_minutes=720.0, seed=13)
         apps, times, positions = flatten(WorkloadGenerator(config), chunk_apps=30)
         # A fresh generator jumping straight to an interior range must
         # reproduce exactly the same applications: no hidden sequential
-        # state survives in the v2 scheme.
+        # state survives between ranges.
         chunk = WorkloadGenerator(config).generate_app_range(11, 23)
         assert chunk.start_index == 11
         assert chunk.apps == tuple(apps[11:23])
@@ -89,27 +77,22 @@ class TestV2Purity:
         for got, expected in zip(chunk.app_positions, positions[11:23]):
             np.testing.assert_array_equal(got, expected)
 
-    def test_generate_app_range_rejected_under_v1(self):
-        generator = WorkloadGenerator(GeneratorConfig(**GOLDEN_CONFIG))
-        with pytest.raises(ValueError, match="v2"):
-            generator.generate_app_range(0, 5)
-
     def test_generate_app_range_bounds_checked(self):
-        config = GeneratorConfig(**GOLDEN_CONFIG, rng_scheme="v2")
+        config = GeneratorConfig(**GOLDEN_CONFIG)
         generator = WorkloadGenerator(config)
         for start, stop in [(-1, 3), (3, 2), (0, 13)]:
             with pytest.raises(ValueError, match="range"):
                 generator.generate_app_range(start, stop)
 
     def test_app_rng_streams_are_counter_keyed(self):
-        config = GeneratorConfig(**GOLDEN_CONFIG, rng_scheme="v2")
+        config = GeneratorConfig(**GOLDEN_CONFIG)
         generator = WorkloadGenerator(config)
         same = generator.app_rng(4).random(8)
         np.testing.assert_array_equal(same, generator.app_rng(4).random(8))
         assert not np.array_equal(same, generator.app_rng(5).random(8))
 
     def test_population_cached_and_seed_pure(self):
-        config = GeneratorConfig(**GOLDEN_CONFIG, rng_scheme="v2")
+        config = GeneratorConfig(**GOLDEN_CONFIG)
         generator = WorkloadGenerator(config)
         population = generator.ensure_population()
         assert generator.ensure_population() is population
@@ -130,13 +113,12 @@ class TestV2Purity:
     chunk_b=st.integers(min_value=1, max_value=40),
 )
 def test_v2_chunk_size_never_changes_output(seed, num_apps, chunk_a, chunk_b):
-    """Property: under v2 the chunking is invisible in the output."""
+    """Property: the chunking is invisible in the output."""
     config = GeneratorConfig(
         num_apps=num_apps,
         duration_minutes=360.0,
         seed=seed,
         max_daily_rate=150.0,
-        rng_scheme="v2",
     )
     apps_a, times_a, _ = flatten(WorkloadGenerator(config), chunk_a)
     apps_b, times_b, _ = flatten(WorkloadGenerator(config), chunk_b)

@@ -23,11 +23,7 @@ from hypothesis import strategies as st
 from repro.trace.generator import GeneratorConfig, WorkloadGenerator
 from repro.trace.store import InvocationStore
 from repro.trace.store_writer import InvocationStoreWriter
-from repro.trace.stream import (
-    iter_chunk_columns,
-    open_streamed_store,
-    stream_workload_to_store,
-)
+from repro.trace.stream import iter_chunk_columns, stream_workload_to_store
 
 SMALL = dict(num_apps=30, duration_minutes=1440.0, seed=9, max_daily_rate=400.0)
 
@@ -58,7 +54,7 @@ class TestWriterRoundTrip:
     def test_streamed_store_round_trips_through_open(self, tmp_path):
         config = GeneratorConfig(**SMALL)
         stats = stream_workload_to_store(config, tmp_path / "t.npz", chunk_apps=11)
-        store = open_streamed_store(stats.path)
+        store = InvocationStore.open(stats.path)
         assert store.is_memory_mapped
         assert store.source_path == stats.path
         reference = WorkloadGenerator(config).generate().store
@@ -181,10 +177,8 @@ class TestCrashSafety:
 class TestParallelGeneration:
     """Worker count must be invisible in the published archive bytes."""
 
-    V2 = dict(SMALL, rng_scheme="v2")
-
     def test_parallel_archive_byte_identical_to_serial(self, tmp_path):
-        config = GeneratorConfig(**self.V2)
+        config = GeneratorConfig(**SMALL)
         serial = stream_workload_to_store(
             config, tmp_path / "serial.npz", chunk_apps=7, workers=1
         )
@@ -196,7 +190,7 @@ class TestParallelGeneration:
         assert parallel.rng_scheme == "v2"
 
     def test_parallel_and_serial_agree_across_chunk_sizes(self, tmp_path):
-        config = GeneratorConfig(**self.V2)
+        config = GeneratorConfig(**SMALL)
         small_chunks = stream_workload_to_store(
             config, tmp_path / "a.npz", chunk_apps=4, workers=2
         )
@@ -205,22 +199,15 @@ class TestParallelGeneration:
         )
         assert archive_members(small_chunks.path) == archive_members(big_chunks.path)
 
-    def test_workers_require_v2_scheme(self, tmp_path):
-        config = GeneratorConfig(**SMALL)
-        with pytest.raises(ValueError, match="v2"):
-            stream_workload_to_store(config, tmp_path / "x.npz", workers=2)
-        with pytest.raises(ValueError, match="v2"):
-            list(iter_chunk_columns(config, workers=2))
-
     def test_invalid_arguments_rejected(self, tmp_path):
-        config = GeneratorConfig(**self.V2)
+        config = GeneratorConfig(**SMALL)
         with pytest.raises(ValueError, match="workers"):
             stream_workload_to_store(config, tmp_path / "x.npz", workers=0)
         with pytest.raises(ValueError, match="chunk_apps"):
             stream_workload_to_store(config, tmp_path / "x.npz", chunk_apps=0)
 
     def test_chunk_columns_stream_in_order(self):
-        config = GeneratorConfig(**self.V2)
+        config = GeneratorConfig(**SMALL)
         chunks = list(iter_chunk_columns(config, chunk_apps=8, workers=2))
         assert [chunk.start_index for chunk in chunks] == list(
             range(0, config.num_apps, 8)
@@ -228,7 +215,7 @@ class TestParallelGeneration:
         assert sum(chunk.num_apps for chunk in chunks) == config.num_apps
 
     def test_early_consumer_exit_terminates_cleanly(self):
-        config = GeneratorConfig(**self.V2)
+        config = GeneratorConfig(**SMALL)
         iterator = iter_chunk_columns(config, chunk_apps=4, workers=2)
         first = next(iterator)
         assert first.start_index == 0
@@ -248,13 +235,12 @@ class TestParallelGeneration:
     def test_worker_count_never_changes_archive(
         self, tmp_path, seed, num_apps, chunk_apps, workers
     ):
-        """Property: v2 archives are a pure function of the config."""
+        """Property: archives are a pure function of the config."""
         config = GeneratorConfig(
             num_apps=num_apps,
             duration_minutes=720.0,
             seed=seed,
             max_daily_rate=200.0,
-            rng_scheme="v2",
         )
         reference = stream_workload_to_store(
             config, tmp_path / f"ref-{seed}-{num_apps}.npz", chunk_apps=num_apps
