@@ -21,6 +21,19 @@ class TestParser:
         )
         assert args.policies == ["fixed:10", "hybrid:240"]
 
+    @pytest.mark.parametrize(
+        "command",
+        [["trace", "gen", "x.npz"], ["simulate", "--fused"]],
+        ids=["trace-gen", "simulate"],
+    )
+    def test_rng_scheme_flag_removed(self, capsys, command):
+        # The counter-keyed stream is the only RNG scheme, so the flag
+        # that chose one is gone and passing it is a usage error.
+        with pytest.raises(SystemExit) as raised:
+            build_parser().parse_args([*command, "--rng-scheme", "v2"])
+        assert raised.value.code == 2
+        assert "unrecognized arguments: --rng-scheme v2" in capsys.readouterr().err
+
 
 class TestCommands:
     def test_characterize(self, capsys):
@@ -191,6 +204,7 @@ class TestCommands:
         [
             (["--workers", "0"], "--workers must be at least 1"),
             (["--chunk-apps", "0"], "--chunk-apps must be at least 1"),
+            (["--apps", "0"], "num_apps must be at least 1"),
         ],
     )
     def test_trace_gen_invalid_arguments_exit_2(
@@ -216,6 +230,7 @@ class TestCommands:
         "arguments, message",
         [
             (["--gen-workers", "0"], "--gen-workers must be at least 1"),
+            (["--num-apps", "0"], "num_apps must be at least 1"),
             (["--chunk-apps", "0"], "--chunk-apps must be at least 1"),
             (
                 ["--gen-workers", "2", "--workers", "2"],

@@ -214,6 +214,23 @@ class TestParallelGeneration:
         )
         assert sum(chunk.num_apps for chunk in chunks) == config.num_apps
 
+    def test_one_worker_generates_chunks_lazily(self, monkeypatch):
+        # One worker runs no pool: each chunk's app range is generated in
+        # this process only when the consumer asks for that chunk.
+        ranges = []
+        generate_app_range = WorkloadGenerator.generate_app_range
+
+        def recording(self, start, stop):
+            ranges.append((start, stop))
+            return generate_app_range(self, start, stop)
+
+        monkeypatch.setattr(WorkloadGenerator, "generate_app_range", recording)
+        iterator = iter_chunk_columns(GeneratorConfig(**SMALL), chunk_apps=8, workers=1)
+        assert next(iterator).start_index == 0
+        assert ranges == [(0, 8)]
+        assert [chunk.start_index for chunk in iterator] == [8, 16, 24]
+        assert ranges == [(0, 8), (8, 16), (16, 24), (24, 30)]
+
     def test_early_consumer_exit_terminates_cleanly(self):
         config = GeneratorConfig(**SMALL)
         iterator = iter_chunk_columns(config, chunk_apps=4, workers=2)
