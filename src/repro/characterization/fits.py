@@ -5,7 +5,8 @@ per-function average execution times and a Burr XII distribution to the
 per-application average allocated memory, and reports the fitted
 parameters.  This module reproduces both fits plus a simple
 goodness-of-fit summary (Kolmogorov–Smirnov distance) used by the tests
-and the experiment reports.
+and the experiment reports.  ``scipy.stats`` is imported inside the
+functions that use it, so importing this module stays cheap.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import stats
 
 
 @dataclass(frozen=True)
@@ -28,6 +28,8 @@ class LogNormalFit:
     sample_size: int
 
     def cdf(self, x: np.ndarray | float) -> np.ndarray:
+        from scipy import stats
+
         return stats.lognorm.cdf(
             np.atleast_1d(np.asarray(x, dtype=float)),
             s=self.log_sigma,
@@ -35,6 +37,8 @@ class LogNormalFit:
         )
 
     def quantile(self, q: np.ndarray | float) -> np.ndarray:
+        from scipy import stats
+
         return stats.lognorm.ppf(
             np.atleast_1d(np.asarray(q, dtype=float)),
             s=self.log_sigma,
@@ -57,17 +61,23 @@ class BurrFit:
     sample_size: int
 
     def cdf(self, x: np.ndarray | float) -> np.ndarray:
+        from scipy import stats
+
         return stats.burr12.cdf(
             np.atleast_1d(np.asarray(x, dtype=float)), c=self.c, d=self.k, scale=self.scale
         )
 
     def quantile(self, q: np.ndarray | float) -> np.ndarray:
+        from scipy import stats
+
         return stats.burr12.ppf(
             np.atleast_1d(np.asarray(q, dtype=float)), c=self.c, d=self.k, scale=self.scale
         )
 
     @property
     def median(self) -> float:
+        from scipy import stats
+
         return float(stats.burr12.median(c=self.c, d=self.k, scale=self.scale))
 
 
@@ -95,6 +105,8 @@ def fit_lognormal(
             raise ValueError("weights must match the samples' shape")
         if np.any(weights < 0) or weights.sum() <= 0:
             raise ValueError("weights must be non-negative with positive total")
+    from scipy import stats
+
     logs = np.log(samples)
     total = weights.sum()
     log_mean = float(np.sum(weights * logs) / total)
@@ -138,6 +150,8 @@ def fit_burr(
         scaled = np.maximum(np.round(weights / max(weights.min(), 1.0)), 1).astype(int)
         scaled = np.minimum(scaled, 100)
         expanded = np.repeat(samples, scaled)
+    from scipy import stats
+
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         c, d, _, scale = stats.burr12.fit(expanded, floc=0)
     ks = _ks_distance(

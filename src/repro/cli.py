@@ -530,8 +530,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     requested = experiment_ids() if args.experiment == ["all"] else args.experiment
     unknown = [e for e in requested if e not in experiment_ids()]
     if unknown:
-        print(f"unknown experiments: {unknown}; available: {experiment_ids()}", file=sys.stderr)
-        return 2
+        raise ValueError(f"unknown experiments: {unknown}; available: {experiment_ids()}")
     for experiment_id in requested:
         result = run_experiment(experiment_id, context)
         print(result.as_text())

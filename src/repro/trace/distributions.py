@@ -12,6 +12,10 @@ figure-by-figure:
   45% of applications at ≤ 1 invocation/hour and 81% at ≤ 1/minute;
 * Figure 7 — log-normal execution times (log-mean −0.38, σ 2.36 seconds);
 * Figure 8 — Burr XII allocated memory (c=11.652, k=0.221, λ=107.083 MB).
+
+Sampling needs only ``scipy.special``; ``scipy.stats`` (~45 MB resident)
+is imported by the CDF and median methods alone, so a process that
+generates, simulates or replays never loads it.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from repro.trace.schema import TriggerType
 
@@ -152,6 +156,8 @@ class LogNormalExecutionModel:
 
     def cdf(self, seconds: np.ndarray) -> np.ndarray:
         """CDF of the fitted log-normal at the given execution times."""
+        from scipy import stats
+
         return stats.lognorm.cdf(seconds, s=self.log_sigma, scale=math.exp(self.log_mean))
 
     def median_seconds(self) -> float:
@@ -167,14 +173,24 @@ class BurrMemoryModel:
     scale: float = MEMORY_BURR_SCALE
 
     def sample_mb(self, rng: np.random.Generator, size: int = 1) -> np.ndarray:
-        """Sample per-application average allocated memory, in MB."""
+        """Sample per-application average allocated memory, in MB.
+
+        Inverse-transform sampling with the very ufuncs
+        ``scipy.stats.burr12.ppf`` evaluates (its ``_ppf`` times the
+        scale), so the draws equal it bit for bit.  numpy's own
+        ``log1p``/``expm1`` differ from these in the last bit.
+        """
         uniform = rng.random(size)
-        return stats.burr12.ppf(uniform, c=self.c, d=self.k, scale=self.scale)
+        return special.expm1(-1 / self.k * special.log1p(-uniform)) ** (1 / self.c) * self.scale
 
     def cdf(self, memory_mb: np.ndarray) -> np.ndarray:
+        from scipy import stats
+
         return stats.burr12.cdf(memory_mb, c=self.c, d=self.k, scale=self.scale)
 
     def median_mb(self) -> float:
+        from scipy import stats
+
         return float(stats.burr12.median(c=self.c, d=self.k, scale=self.scale))
 
 

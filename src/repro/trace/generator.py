@@ -24,6 +24,7 @@ pure function of ``(seed, range)``
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -64,6 +65,10 @@ MINUTES_PER_DAY = 1440.0
 #: Timer periods (minutes) commonly seen in practice; 95% of timer-triggered
 #: functions fire at most once per minute on average.
 STANDARD_TIMER_PERIODS: tuple[float, ...] = (1, 5, 10, 15, 30, 60, 120, 360, 720, 1440)
+#: Their natural logs, the scale on which a target period is snapped.
+_LOG_TIMER_PERIODS: tuple[float, ...] = tuple(
+    np.log(np.asarray(STANDARD_TIMER_PERIODS, dtype=float)).tolist()
+)
 
 #: Sub-stream tags of the counter-keyed RNG scheme (the same
 #: ``default_rng([seed, tag, ...])`` derivation the fault layer uses per
@@ -72,6 +77,48 @@ STANDARD_TIMER_PERIODS: tuple[float, ...] = (1, 5, 10, 15, 30, 60, 120, 360, 720
 #: dynamic.  Chosen outside any plausible user seed range.
 _V2_POPULATION_STREAM = 0x7FFF_AB01
 _V2_APP_STREAM = 0x7FFF_AB02
+
+
+def choice_cdf(weights: np.ndarray) -> np.ndarray:
+    """The cumulative table ``Generator.choice`` builds from ``p=weights``."""
+    cdf = weights.cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
+def weighted_choice(rng: np.random.Generator, cdf: np.ndarray, size: int) -> np.ndarray:
+    """``rng.choice(cdf.size, size, p=weights)`` for ``cdf = choice_cdf(weights)``.
+
+    The same draws and the same indices: after validating ``p``, which
+    costs several times the draw itself, ``Generator.choice`` runs
+    exactly this search over ``size`` uniforms.
+    """
+    return cdf.searchsorted(rng.random(size), side="right")
+
+
+@functools.lru_cache(maxsize=None)
+def _combination_triggers(
+    combination: str,
+) -> tuple[tuple[TriggerType, ...], tuple[TriggerType, ...], np.ndarray]:
+    """A Figure 3(b) combination's triggers, plus the triggers and the
+    read-only cdf its apps' extra functions draw from."""
+    triggers = tuple(TriggerType.from_short_code(code) for code in combination)
+    choices, weights = normalized_trigger_weights(
+        {t: TRIGGER_FUNCTION_SHARES[t] for t in triggers}
+    )
+    cdf = choice_cdf(weights)
+    cdf.flags.writeable = False
+    return triggers, tuple(choices), cdf
+
+
+@functools.lru_cache(maxsize=None)
+def _zipf_weights(num_functions: int) -> np.ndarray:
+    """Normalized 1/rank function popularity (read-only).  One entry per
+    function count, and ``max_functions_per_app`` caps the counts."""
+    weights = 1.0 / np.arange(1, num_functions + 1, dtype=float)
+    weights = weights / weights.sum()
+    weights.flags.writeable = False
+    return weights
 
 
 @dataclass(frozen=True)
@@ -173,14 +220,6 @@ class WorkloadChunk:
     apps: tuple[AppSpec, ...]
     app_times: tuple[np.ndarray, ...]
     app_positions: tuple[np.ndarray, ...]
-
-    @property
-    def num_apps(self) -> int:
-        return len(self.apps)
-
-    @property
-    def num_invocations(self) -> int:
-        return int(sum(times.size for times in self.app_times))
 
     def app_functions(self) -> list[tuple[str, list[str]]]:
         """The chunk's population layout in the store-builder format."""
@@ -304,13 +343,12 @@ class WorkloadGenerator:
         config = self.config
         app_id = f"app{index:05d}"
         owner_id = f"owner{index % max(config.num_apps // 3, 1):05d}"
-        triggers = self._app_triggers(population.combos[index])
         functions = self._build_functions(
             rng,
             app_id=app_id,
             owner_id=owner_id,
-            triggers=triggers,
-            num_functions=max(int(population.function_counts[index]), len(triggers)),
+            combination=population.combos[index],
+            num_functions=int(population.function_counts[index]),
         )
         memory = self._memory_profile(rng, float(population.memory_mb[index]))
         app = AppSpec(
@@ -324,28 +362,24 @@ class WorkloadGenerator:
     # ------------------------------------------------------------------ #
     # Static population
     # ------------------------------------------------------------------ #
-    @staticmethod
-    def _app_triggers(combination: str) -> list[TriggerType]:
-        return [TriggerType.from_short_code(code) for code in combination]
-
     def _build_functions(
         self,
         rng: np.random.Generator,
         *,
         app_id: str,
         owner_id: str,
-        triggers: Sequence[TriggerType],
+        combination: str,
         num_functions: int,
     ) -> list[FunctionSpec]:
-        """Assign triggers and execution profiles to an app's functions."""
+        """Assign triggers and execution profiles to an app's functions.
+
+        Every trigger of the combination gets a function; functions
+        beyond those draw their trigger by its Figure 2 share.
+        """
+        triggers, choices, cdf = _combination_triggers(combination)
         assigned: list[TriggerType] = list(triggers)
         if num_functions > len(assigned):
-            choices, weights = normalized_trigger_weights(
-                {t: TRIGGER_FUNCTION_SHARES[t] for t in triggers}
-            )
-            extra = rng.choice(
-                len(choices), size=num_functions - len(assigned), p=weights
-            )
+            extra = weighted_choice(rng, cdf, num_functions - len(assigned))
             assigned.extend(choices[i] for i in extra)
         rng.shuffle(assigned)  # type: ignore[arg-type]
         functions = []
@@ -371,12 +405,12 @@ class WorkloadGenerator:
         ~30 ms median for dispatch/coordination functions) and event/queue
         batch processors skew somewhat slower.
         """
-        average = float(EXECUTION_MODEL.sample_average_seconds(rng, 1)[0])
+        average = rng.lognormal(EXECUTION_MODEL.log_mean, EXECUTION_MODEL.log_sigma)
         if trigger is TriggerType.ORCHESTRATION:
             average *= 0.08
         elif trigger in (TriggerType.QUEUE, TriggerType.EVENT):
             average *= 1.5
-        average = float(np.clip(average, 1e-3, 3600.0))
+        average = min(max(average, 1e-3), 3600.0)
         spread = rng.uniform(1.5, 6.0)
         minimum = average / spread
         maximum = average * spread
@@ -392,7 +426,7 @@ class WorkloadGenerator:
 
     @staticmethod
     def _memory_profile(rng: np.random.Generator, average_mb: float) -> MemoryProfile:
-        average_mb = float(np.clip(average_mb, 16.0, 4096.0))
+        average_mb = min(max(average_mb, 16.0), 4096.0)
         first_percentile = average_mb * rng.uniform(0.5, 0.9)
         maximum = average_mb * rng.uniform(1.2, 2.5)
         return MemoryProfile(
@@ -594,9 +628,9 @@ class WorkloadGenerator:
     @staticmethod
     def _nearest_standard_period(target_period_minutes: float) -> float:
         """Snap a period to the closest standard cron-style period."""
-        periods = np.asarray(STANDARD_TIMER_PERIODS, dtype=float)
-        index = int(np.argmin(np.abs(np.log(periods) - math.log(max(target_period_minutes, 0.5)))))
-        return float(periods[index])
+        target = math.log(max(target_period_minutes, 0.5))
+        distances = [abs(log_period - target) for log_period in _LOG_TIMER_PERIODS]
+        return float(STANDARD_TIMER_PERIODS[distances.index(min(distances))])
 
     def _assign_functions(
         self, rng: np.random.Generator, app: AppSpec, timestamps: np.ndarray
@@ -609,14 +643,14 @@ class WorkloadGenerator:
         between function count and per-function rates.  Returns local
         function positions aligned with ``timestamps``.
         """
-        if timestamps.size == 0:
-            return np.empty(0, dtype=np.int64)
         num_functions = app.num_functions
-        ranks = np.arange(1, num_functions + 1, dtype=float)
-        weights = 1.0 / ranks
-        weights = weights / weights.sum()
+        if num_functions == 1 or timestamps.size == 0:
+            # A single-function app's draw would be the last from its
+            # own stream, so skipping it changes no other value.
+            return np.zeros(timestamps.size, dtype=np.int64)
+        weights = _zipf_weights(num_functions).copy()
         rng.shuffle(weights)
-        return rng.choice(num_functions, size=timestamps.size, p=weights)
+        return weighted_choice(rng, choice_cdf(weights), timestamps.size)
 
 
 def generate_workload(

@@ -74,10 +74,6 @@ class ChunkColumns:
     def num_apps(self) -> int:
         return len(self.app_functions)
 
-    @property
-    def num_invocations(self) -> int:
-        return int(sum(times.size for times in self.app_times))
-
 
 @dataclass(frozen=True)
 class StreamStats:

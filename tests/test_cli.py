@@ -88,6 +88,7 @@ class TestCommands:
                 ["experiment", "fig1", "--trace-dir", "missing-trace"],
                 "experiments generate their own workload",
             ),
+            (["experiment", "bogus"], "unknown experiments: ['bogus']; available: "),
         ],
     )
     def test_invalid_value_is_a_usage_error(self, capsys, command, message):

@@ -136,6 +136,30 @@ class TestMemoryModel:
         p5, p90 = np.percentile(samples, [5, 90])
         assert p90 / p5 < 10
 
+    def test_samples_equal_scipy_burr12_ppf_bit_for_bit(self):
+        from scipy import stats
+
+        def ppf(uniform):
+            return stats.burr12.ppf(
+                uniform, c=MEMORY_MODEL.c, d=MEMORY_MODEL.k, scale=MEMORY_MODEL.scale
+            )
+
+        samples = MEMORY_MODEL.sample_mb(np.random.default_rng(RNG_SEED), 10**6)
+        uniform = np.random.default_rng(RNG_SEED).random(10**6)
+        assert samples.tobytes() == ppf(uniform).tobytes()
+
+        class FixedUniforms:
+            """Stands in for a Generator whose draws hit the range's ends."""
+
+            values = np.asarray([0.0, 2.0**-53, 2.0**-30, 0.5, 1.0 - 2.0**-53])
+
+            def random(self, size):
+                return self.values[:size]
+
+        edges = MEMORY_MODEL.sample_mb(FixedUniforms(), FixedUniforms.values.size)
+        assert edges[0] == 0.0
+        assert edges.tobytes() == ppf(FixedUniforms.values).tobytes()
+
     def test_cdf_monotone(self):
         grid = np.asarray([10.0, 100.0, 300.0, 1000.0])
         cdf = MEMORY_MODEL.cdf(grid)

@@ -17,7 +17,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.trace.generator import GeneratorConfig, WorkloadGenerator
+from repro.trace.generator import (
+    GeneratorConfig,
+    WorkloadGenerator,
+    choice_cdf,
+    weighted_choice,
+)
+from repro.trace.schema import TriggerType
 
 GOLDEN_CONFIG = dict(
     num_apps=12, duration_minutes=360.0, seed=7, max_daily_rate=100.0
@@ -26,6 +32,25 @@ GOLDEN_CONFIG = dict(
 #: sha256 of the saved archive for GOLDEN_CONFIG, pinned so generator
 #: refactors cannot silently shift the random stream.
 GOLDEN_DIGEST = "3982068ca060a1895cffc830977ad86a1db4c724284799cbd4f39c197ed8e17c"
+
+#: A larger population that reaches every branch of the static draws:
+#: single- and multi-function apps, apps with more functions than
+#: triggers, timer-only apps, and apps capped at max_invocations_per_app.
+POPULATION_CONFIG = dict(
+    num_apps=300,
+    duration_minutes=1440.0,
+    seed=2020,
+    max_daily_rate=500.0,
+    max_invocations_per_app=300,
+)
+
+#: sha256 over every AppSpec's repr plus its times and positions (dtype
+#: and bytes).  The archive digest above does not see the memory or
+#: execution profiles; these do.
+POPULATION_DIGESTS = {
+    "golden": "bbbe6b0168829c8c593b2a65f689020430cf2940854cca57008038524ea411a6",
+    "population": "55b5669f275c6756c9ebffce5548ecef8c69c0207665a78613a3f18a5accde8c",
+}
 
 
 def flatten(generator: WorkloadGenerator, chunk_apps: int):
@@ -65,6 +90,39 @@ class TestGoldenOutputs:
         config = GeneratorConfig(**GOLDEN_CONFIG, **scheme)
         WorkloadGenerator(config).generate().store.save(path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_DIGEST
+
+
+def population_digest(chunk) -> str:
+    digest = hashlib.sha256()
+    for app, times, positions in zip(chunk.apps, chunk.app_times, chunk.app_positions):
+        digest.update(repr(app).encode())
+        for column in (times, positions):
+            digest.update(column.dtype.str.encode())
+            digest.update(column.tobytes())
+    return digest.hexdigest()
+
+
+class TestPopulationPinned:
+    @pytest.mark.parametrize(
+        "name, config",
+        [("golden", GOLDEN_CONFIG), ("population", POPULATION_CONFIG)],
+        ids=["golden", "population"],
+    )
+    def test_population_digest_pinned(self, name, config):
+        config = GeneratorConfig(**config)
+        chunk = WorkloadGenerator(config).generate_app_range(0, config.num_apps)
+        assert population_digest(chunk) == POPULATION_DIGESTS[name]
+
+    def test_population_config_reaches_every_branch(self):
+        config = GeneratorConfig(**POPULATION_CONFIG)
+        chunk = WorkloadGenerator(config).generate_app_range(0, config.num_apps)
+        counts = [app.num_functions for app in chunk.apps]
+        assert 1 in counts and max(counts) > 1
+        assert any(app.num_functions > len(app.trigger_types) for app in chunk.apps)
+        assert any(app.trigger_types == {TriggerType.TIMER} for app in chunk.apps)
+        assert any(
+            times.size == config.max_invocations_per_app for times in chunk.app_times
+        )
 
 
 class TestV2Purity:
@@ -130,3 +188,24 @@ def test_v2_chunk_size_never_changes_output(seed, num_apps, chunk_a, chunk_b):
     assert apps_a == apps_b
     for left, right in zip(times_a, times_b):
         np.testing.assert_array_equal(left, right)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**63 - 1),
+    weights=st.lists(
+        st.floats(min_value=0.0, max_value=1e6), min_size=1, max_size=60
+    ).filter(lambda weights: sum(weights) > 0),
+    size=st.integers(min_value=0, max_value=300),
+)
+def test_weighted_choice_matches_generator_choice(seed, weights, size):
+    """Property: the generator's cached-cdf draw is ``Generator.choice``."""
+    p = np.asarray(weights) / np.sum(weights)
+    expected_rng = np.random.default_rng(seed)
+    expected = expected_rng.choice(p.size, size=size, p=p)
+    rng = np.random.default_rng(seed)
+    got = weighted_choice(rng, choice_cdf(p), size)
+    assert got.dtype == expected.dtype
+    np.testing.assert_array_equal(got, expected)
+    # Both consumed the same draws, so the streams stay in step.
+    assert rng.random() == expected_rng.random()
