@@ -150,8 +150,14 @@ class LogNormalExecutionModel:
     log_mean: float = EXECUTION_TIME_LOG_MEAN
     log_sigma: float = EXECUTION_TIME_LOG_SIGMA
 
-    def sample_average_seconds(self, rng: np.random.Generator, size: int = 1) -> np.ndarray:
-        """Sample per-function *average* execution times, in seconds."""
+    def sample_average_seconds(
+        self, rng: np.random.Generator, size: int | None = 1
+    ) -> np.ndarray | float:
+        """Sample per-function *average* execution times, in seconds.
+
+        ``size=None`` draws one Python float, the same value a size-1
+        draw would hold, without building an array.
+        """
         return rng.lognormal(self.log_mean, self.log_sigma, size=size)
 
     def cdf(self, seconds: np.ndarray) -> np.ndarray:

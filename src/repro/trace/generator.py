@@ -24,7 +24,6 @@ pure function of ``(seed, range)``
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -79,46 +78,16 @@ _V2_POPULATION_STREAM = 0x7FFF_AB01
 _V2_APP_STREAM = 0x7FFF_AB02
 
 
-def choice_cdf(weights: np.ndarray) -> np.ndarray:
-    """The cumulative table ``Generator.choice`` builds from ``p=weights``."""
-    cdf = weights.cumsum()
-    cdf /= cdf[-1]
-    return cdf
+def _weighted_choice(rng: np.random.Generator, p: np.ndarray, size: int) -> np.ndarray:
+    """``rng.choice(p.size, size, p=p)`` without checking ``p`` again.
 
-
-def weighted_choice(rng: np.random.Generator, cdf: np.ndarray, size: int) -> np.ndarray:
-    """``rng.choice(cdf.size, size, p=weights)`` for ``cdf = choice_cdf(weights)``.
-
-    The same draws and the same indices: after validating ``p``, which
-    costs several times the draw itself, ``Generator.choice`` runs
-    exactly this search over ``size`` uniforms.
+    The same uniforms and the same indices: ``Generator.choice`` checks
+    that ``p`` is a distribution, which costs several times the draw
+    itself, then searches its normalized cumulative sum exactly so.
     """
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
     return cdf.searchsorted(rng.random(size), side="right")
-
-
-@functools.lru_cache(maxsize=None)
-def _combination_triggers(
-    combination: str,
-) -> tuple[tuple[TriggerType, ...], tuple[TriggerType, ...], np.ndarray]:
-    """A Figure 3(b) combination's triggers, plus the triggers and the
-    read-only cdf its apps' extra functions draw from."""
-    triggers = tuple(TriggerType.from_short_code(code) for code in combination)
-    choices, weights = normalized_trigger_weights(
-        {t: TRIGGER_FUNCTION_SHARES[t] for t in triggers}
-    )
-    cdf = choice_cdf(weights)
-    cdf.flags.writeable = False
-    return triggers, tuple(choices), cdf
-
-
-@functools.lru_cache(maxsize=None)
-def _zipf_weights(num_functions: int) -> np.ndarray:
-    """Normalized 1/rank function popularity (read-only).  One entry per
-    function count, and ``max_functions_per_app`` caps the counts."""
-    weights = 1.0 / np.arange(1, num_functions + 1, dtype=float)
-    weights = weights / weights.sum()
-    weights.flags.writeable = False
-    return weights
 
 
 @dataclass(frozen=True)
@@ -343,12 +312,13 @@ class WorkloadGenerator:
         config = self.config
         app_id = f"app{index:05d}"
         owner_id = f"owner{index % max(config.num_apps // 3, 1):05d}"
+        triggers = self._app_triggers(population.combos[index])
         functions = self._build_functions(
             rng,
             app_id=app_id,
             owner_id=owner_id,
-            combination=population.combos[index],
-            num_functions=int(population.function_counts[index]),
+            triggers=triggers,
+            num_functions=max(int(population.function_counts[index]), len(triggers)),
         )
         memory = self._memory_profile(rng, float(population.memory_mb[index]))
         app = AppSpec(
@@ -362,24 +332,26 @@ class WorkloadGenerator:
     # ------------------------------------------------------------------ #
     # Static population
     # ------------------------------------------------------------------ #
+    @staticmethod
+    def _app_triggers(combination: str) -> list[TriggerType]:
+        return [TriggerType.from_short_code(code) for code in combination]
+
     def _build_functions(
         self,
         rng: np.random.Generator,
         *,
         app_id: str,
         owner_id: str,
-        combination: str,
+        triggers: Sequence[TriggerType],
         num_functions: int,
     ) -> list[FunctionSpec]:
-        """Assign triggers and execution profiles to an app's functions.
-
-        Every trigger of the combination gets a function; functions
-        beyond those draw their trigger by its Figure 2 share.
-        """
-        triggers, choices, cdf = _combination_triggers(combination)
+        """Assign triggers and execution profiles to an app's functions."""
         assigned: list[TriggerType] = list(triggers)
         if num_functions > len(assigned):
-            extra = weighted_choice(rng, cdf, num_functions - len(assigned))
+            choices, weights = normalized_trigger_weights(
+                {t: TRIGGER_FUNCTION_SHARES[t] for t in triggers}
+            )
+            extra = _weighted_choice(rng, weights, num_functions - len(assigned))
             assigned.extend(choices[i] for i in extra)
         rng.shuffle(assigned)  # type: ignore[arg-type]
         functions = []
@@ -405,7 +377,7 @@ class WorkloadGenerator:
         ~30 ms median for dispatch/coordination functions) and event/queue
         batch processors skew somewhat slower.
         """
-        average = rng.lognormal(EXECUTION_MODEL.log_mean, EXECUTION_MODEL.log_sigma)
+        average = EXECUTION_MODEL.sample_average_seconds(rng, None)
         if trigger is TriggerType.ORCHESTRATION:
             average *= 0.08
         elif trigger in (TriggerType.QUEUE, TriggerType.EVENT):
@@ -648,9 +620,11 @@ class WorkloadGenerator:
             # A single-function app's draw would be the last from its
             # own stream, so skipping it changes no other value.
             return np.zeros(timestamps.size, dtype=np.int64)
-        weights = _zipf_weights(num_functions).copy()
+        ranks = np.arange(1, num_functions + 1, dtype=float)
+        weights = 1.0 / ranks
+        weights = weights / weights.sum()
         rng.shuffle(weights)
-        return weighted_choice(rng, choice_cdf(weights), timestamps.size)
+        return _weighted_choice(rng, weights, timestamps.size)
 
 
 def generate_workload(

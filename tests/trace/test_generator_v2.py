@@ -17,12 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.trace.generator import (
-    GeneratorConfig,
-    WorkloadGenerator,
-    choice_cdf,
-    weighted_choice,
-)
+from repro.trace.generator import GeneratorConfig, WorkloadGenerator, _weighted_choice
 from repro.trace.schema import TriggerType
 
 GOLDEN_CONFIG = dict(
@@ -199,12 +194,12 @@ def test_v2_chunk_size_never_changes_output(seed, num_apps, chunk_a, chunk_b):
     size=st.integers(min_value=0, max_value=300),
 )
 def test_weighted_choice_matches_generator_choice(seed, weights, size):
-    """Property: the generator's cached-cdf draw is ``Generator.choice``."""
+    """Property: the generator's unchecked draw is ``Generator.choice``."""
     p = np.asarray(weights) / np.sum(weights)
     expected_rng = np.random.default_rng(seed)
     expected = expected_rng.choice(p.size, size=size, p=p)
     rng = np.random.default_rng(seed)
-    got = weighted_choice(rng, choice_cdf(p), size)
+    got = _weighted_choice(rng, p, size)
     assert got.dtype == expected.dtype
     np.testing.assert_array_equal(got, expected)
     # Both consumed the same draws, so the streams stay in step.
