@@ -194,13 +194,12 @@ def fork_pool_imap(
     task: Callable[[int], object],
     num_tasks: int,
     workers: int,
-    *,
-    max_pending: int | None = None,
 ) -> Iterator[object]:
     """Yield ``task(task_id)`` results **in task-id order**, streaming.
 
-    The in-order bounded reassembly queue: at most ``max_pending`` tasks
-    are dispatched ahead of the consumer, so a slow consumer throttles
+    The in-order bounded reassembly queue: at most ``workers + 2`` tasks
+    — enough to keep every worker busy while the consumer drains the
+    head of the queue — are dispatched ahead of the consumer, so a slow consumer throttles
     the workers (backpressure) and peak memory is one window of results,
     never ``num_tasks`` of them.  Results are yielded strictly in task-id
     order no matter which worker finishes first, so consumers see exactly
@@ -215,9 +214,6 @@ def fork_pool_imap(
             picklable result.
         num_tasks: Number of tasks.
         workers: Maximum pool size (clamped to ``num_tasks``).
-        max_pending: In-flight window (dispatched but not yet consumed);
-            defaults to ``workers + 2`` — enough to keep every worker
-            busy while the consumer drains the head of the queue.
     """
     if num_tasks == 0:
         return
@@ -226,9 +222,7 @@ def fork_pool_imap(
         for task_id in range(num_tasks):
             yield task(task_id)
         return
-    if max_pending is None:
-        max_pending = workers + 2
-    max_pending = max(workers, int(max_pending))
+    max_pending = workers + 2
 
     pool, token, pool_workers = _fork_pool(task, workers)
     try:

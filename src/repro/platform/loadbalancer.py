@@ -117,9 +117,9 @@ class LoadBalancer:
 
     def remove_invoker(self, invoker: Invoker) -> None:
         """Remove an invoker from the fleet (autoscaler scale-in)."""
-        self._invokers.remove(invoker)
-        if not self._invokers:
+        if len(self._invokers) == 1:
             raise ValueError("cannot remove the last invoker")
+        self._invokers.remove(invoker)
         self._topology_changed()
 
     def _topology_changed(self) -> None:

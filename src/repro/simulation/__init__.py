@@ -37,12 +37,7 @@ whole families against each configuration run alone.
 benchmarks/conftest.py for how to run them).
 """
 
-from repro.simulation.coldstart import (
-    AppSimulationTrace,
-    ColdStartSimulator,
-    InvocationOutcome,
-    simulate_application,
-)
+from repro.simulation.coldstart import ColdStartSimulator, simulate_application
 from repro.simulation.engine import (
     EXECUTION_MODES,
     SWEEP_MODES,
@@ -88,9 +83,7 @@ from repro.simulation.sweep_engine import (
 )
 
 __all__ = [
-    "AppSimulationTrace",
     "ColdStartSimulator",
-    "InvocationOutcome",
     "simulate_application",
     "EXECUTION_MODES",
     "SWEEP_MODES",

@@ -6,9 +6,13 @@ have been a warm or a cold start, while accumulating the *wasted memory
 time*: the time the application's image was kept in memory without
 executing anything.
 
-Following the paper's methodology:
+The paper's methodology is fixed, with no options:
 
 * the first invocation of every application is a cold start;
+* memory kept loaded after the last invocation, up to the horizon, counts
+  as waste;
+* every application weighs the same (memory data does not exist for every
+  application), so waste is in minutes, not MB·minutes;
 * function execution times are simulated as zero, which makes the measured
   wasted memory time a conservative (worst-case) figure and makes idle
   times equal to inter-arrival times;
@@ -19,7 +23,6 @@ Following the paper's methodology:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
@@ -39,32 +42,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 DEFAULT_SCALAR_DRAIN_THRESHOLD = 8
 
 
-@dataclass(frozen=True)
-class InvocationOutcome:
-    """Outcome of a single simulated invocation."""
-
-    time_minutes: float
-    cold: bool
-    decision: PolicyDecision
-
-
-@dataclass(frozen=True)
-class AppSimulationTrace:
-    """Full per-invocation record of one application's simulation."""
-
-    app_id: str
-    outcomes: tuple[InvocationOutcome, ...]
-    wasted_memory_minutes: float
-
-    @property
-    def cold_starts(self) -> int:
-        return sum(1 for outcome in self.outcomes if outcome.cold)
-
-    @property
-    def invocations(self) -> int:
-        return len(self.outcomes)
-
-
 class ColdStartSimulator:
     """Simulates one keep-alive policy over per-application invocation times.
 
@@ -72,27 +49,12 @@ class ColdStartSimulator:
         horizon_minutes: End of the simulation window.  Keep-alive windows
             extending past the horizon only accumulate waste up to the
             horizon (the trace ends there).
-        first_invocation_cold: Whether the first invocation of every
-            application counts as a cold start (True in the paper).
-        count_tail_waste: Whether memory kept loaded after the last
-            invocation (until the window expires or the horizon is reached)
-            counts as waste.  The paper's wasted-memory metric accounts for
-            all time an image is loaded without executing, so this defaults
-            to True.
     """
 
-    def __init__(
-        self,
-        horizon_minutes: float,
-        *,
-        first_invocation_cold: bool = True,
-        count_tail_waste: bool = True,
-    ) -> None:
+    def __init__(self, horizon_minutes: float) -> None:
         if horizon_minutes <= 0:
             raise ValueError("simulation horizon must be positive")
         self.horizon_minutes = float(horizon_minutes)
-        self.first_invocation_cold = first_invocation_cold
-        self.count_tail_waste = count_tail_waste
 
     # ------------------------------------------------------------------ #
     def simulate_app(
@@ -100,80 +62,66 @@ class ColdStartSimulator:
         app_id: str,
         invocation_times_minutes: Sequence[float] | np.ndarray,
         policy: KeepAlivePolicy,
-        *,
-        memory_mb: float = 1.0,
-        detailed: bool = False,
-        sort: bool = False,
-    ) -> AppSimResult | AppSimulationTrace:
+    ) -> AppSimResult:
         """Simulate one application under one policy instance.
 
         Args:
             app_id: Application identifier (only used for reporting).
             invocation_times_minutes: Sorted invocation timestamps.
             policy: A fresh policy instance dedicated to this application.
-            memory_mb: Application memory footprint, used to weight the
-                wasted memory time; the paper's simulations assume equal
-                footprints (the default of 1.0).
-            detailed: When True, return the full per-invocation
-                :class:`AppSimulationTrace` instead of the summary record.
-            sort: Opt-in for unsorted input: sort the timestamps before
-                simulating.  By default unsorted input raises ``ValueError``
-                — an out-of-order trace usually signals a malformed loader,
-                and silently sorting would mask it.
 
         Raises:
             ValueError: When a timestamp falls outside ``[0, horizon]``, or
-                when the timestamps are unsorted and ``sort`` is False.
+                when the timestamps are unsorted (an out-of-order trace
+                usually signals a malformed loader).
         """
-        times = self._validated_times(invocation_times_minutes, sort=sort)
+        times = self._validated_times(invocation_times_minutes)
+        return self._replay_scalar(app_id, times, policy)
 
-        outcomes: list[InvocationOutcome] = []
-        wasted_minutes = 0.0
-        cold_starts = 0
-        previous_time: float | None = None
-        previous_decision: PolicyDecision | None = None
+    def _replay_scalar(
+        self,
+        app_id: str,
+        times: np.ndarray,
+        policy: KeepAlivePolicy,
+        *,
+        step: int = 0,
+        previous_time: float = 0.0,
+        previous_decision: PolicyDecision | None = None,
+        cold_count: int = 0,
+        wasted_minutes: float = 0.0,
+    ) -> AppSimResult:
+        """The scalar loop over ``times[step:]``, from the given accumulators.
 
-        for timestamp in times:
+        One ``policy.on_invocation`` call per invocation.  Without a
+        previous decision the invocation is the application's first and
+        is cold; every later one is cold unless the previous decision's
+        window covers it, and the loaded time before it is waste.  Memory
+        kept loaded after the last invocation, up to the horizon, is waste
+        too.
+        """
+        for timestamp in times[step:]:
             timestamp = float(timestamp)
-            if previous_decision is None or previous_time is None:
-                cold = self.first_invocation_cold
+            if previous_decision is None:
+                cold = True
             else:
                 cold = not previous_decision.covers(previous_time, timestamp)
                 wasted_minutes += self._waste_between(
                     previous_time, previous_decision, timestamp
                 )
             if cold:
-                cold_starts += 1
-            decision = policy.on_invocation(timestamp, cold=cold)
-            if detailed:
-                outcomes.append(
-                    InvocationOutcome(time_minutes=timestamp, cold=cold, decision=decision)
-                )
+                cold_count += 1
+            previous_decision = policy.on_invocation(timestamp, cold=cold)
             previous_time = timestamp
-            previous_decision = decision
-
-        if (
-            self.count_tail_waste
-            and previous_decision is not None
-            and previous_time is not None
-        ):
+        if previous_decision is not None:
             wasted_minutes += self._waste_between(
                 previous_time, previous_decision, self.horizon_minutes
-            )
-
-        if detailed:
-            return AppSimulationTrace(
-                app_id=app_id,
-                outcomes=tuple(outcomes),
-                wasted_memory_minutes=wasted_minutes,
             )
         mode_counts, oob_idle_times = _policy_mode_fields(policy)
         return AppSimResult(
             app_id=app_id,
             invocations=int(times.size),
-            cold_starts=cold_starts,
+            cold_starts=cold_count,
             wasted_memory_minutes=wasted_minutes,
-            memory_mb=memory_mb,
             mode_counts=mode_counts,
             oob_idle_times=oob_idle_times,
         )
@@ -184,12 +132,11 @@ class ColdStartSimulator:
 
         The applications are in CSR layout: application ``i``'s
         timestamps are ``times[offsets[i]:offsets[i + 1]]``.  Each must
-        meet :meth:`simulate_app`'s contract without the sorting escape
-        hatch — within ``[0, horizon]``, ascending — while one
-        application's first timestamp may lie below the previous one's
-        last.  Raises the ``ValueError`` that validating the applications
-        one by one would raise first.  Used by the family evaluators of
-        :mod:`repro.simulation.sweep_engine`.
+        meet :meth:`simulate_app`'s contract — within ``[0, horizon]``,
+        ascending — while one application's first timestamp may lie below
+        the previous one's last.  Raises the ``ValueError`` that
+        validating the applications one by one would raise first.  Used
+        by the family evaluators of :mod:`repro.simulation.sweep_engine`.
         """
         times = np.asarray(times, dtype=np.float64)
         offsets = np.asarray(offsets, dtype=np.int64)
@@ -215,22 +162,12 @@ class ColdStartSimulator:
         raise AssertionError("flat validation disagrees with per-app validation")
 
     def _validated_times(
-        self,
-        invocation_times_minutes: Sequence[float] | np.ndarray,
-        *,
-        sort: bool | None = None,
+        self, invocation_times_minutes: Sequence[float] | np.ndarray
     ) -> np.ndarray:
         """Validate one application's timestamps (shared by every engine).
 
-        Validates the raw input before any normalization — range-checking
-        a silently sorted array would mask malformed traces.
-
-        Args:
-            invocation_times_minutes: Timestamps to validate.
-            sort: ``True`` sorts a trusted-but-unsorted trace, ``False``
-                rejects unsorted input suggesting the ``sort`` escape
-                hatch, ``None`` rejects it outright (engines that do not
-                offer sorting).
+        The range check comes first, so a trace that is both unsorted and
+        out of the horizon is reported as out of the horizon.
         """
         times = np.asarray(invocation_times_minutes, dtype=np.float64)
         if times.size:
@@ -239,15 +176,7 @@ class ColdStartSimulator:
                     "invocation timestamps fall outside the simulation horizon"
                 )
             if np.any(np.diff(times) < 0):
-                if sort:
-                    times = np.sort(times)
-                elif sort is None:
-                    raise ValueError("invocation timestamps must be sorted ascending")
-                else:
-                    raise ValueError(
-                        "invocation timestamps must be sorted ascending; pass "
-                        "sort=True to sort a trusted-but-unsorted trace"
-                    )
+                raise ValueError("invocation timestamps must be sorted ascending")
         return times
 
     # ------------------------------------------------------------------ #
@@ -276,7 +205,6 @@ class ColdStartSimulator:
         invocation_times: Sequence[Sequence[float] | np.ndarray],
         bank_factory: Callable[[int], "PolicyBank"],
         *,
-        memory_mb: Sequence[float] | None = None,
         scalar_drain_threshold: int = DEFAULT_SCALAR_DRAIN_THRESHOLD,
     ) -> list[AppSimResult]:
         """Simulate many applications at once through one policy bank.
@@ -304,8 +232,6 @@ class ColdStartSimulator:
                 ``[0, horizon]``, ascending).
             bank_factory: Builds the bank; called once with the number of
                 applications.
-            memory_mb: Optional per-application memory footprints used to
-                weight the wasted memory time (default 1.0 each).
             scalar_drain_threshold: Active-set size at or below which the
                 remaining applications are drained to the scalar engine;
                 0 disables draining.
@@ -316,8 +242,6 @@ class ColdStartSimulator:
         num_apps = len(app_ids)
         if len(invocation_times) != num_apps:
             raise ValueError("one invocation array is required per application")
-        if memory_mb is not None and len(memory_mb) != num_apps:
-            raise ValueError("one memory footprint is required per application")
         times_arrays = [self._validated_times(times) for times in invocation_times]
 
         counts = np.array([array.size for array in times_arrays], dtype=np.int64)
@@ -357,12 +281,14 @@ class ColdStartSimulator:
                 and active <= scalar_drain_threshold
                 and active > 0
             ):
+                # Each remaining row is cloned into an equivalent scalar
+                # policy and finished through the scalar loop, resuming
+                # the banked accumulators.
                 for row in range(active):
-                    drained[row] = self._drain_row_scalar(
-                        bank,
-                        row,
-                        app_id=app_ids[order[row]],
-                        times=flat[offsets[row] : offsets[row] + counts_sorted[row]],
+                    drained[row] = self._replay_scalar(
+                        app_ids[order[row]],
+                        flat[offsets[row] : offsets[row] + counts_sorted[row]],
+                        bank.extract_policy(row),
                         step=step,
                         previous_time=float(previous_times[row]) if step else 0.0,
                         previous_decision=(
@@ -375,14 +301,11 @@ class ColdStartSimulator:
                         ),
                         cold_count=int(cold_counts[row]),
                         wasted_minutes=float(wasted[row]),
-                        memory_mb=(
-                            float(memory_mb[order[row]]) if memory_mb is not None else 1.0
-                        ),
                     )
                 break
             now = flat[offsets[:active] + step]
             if step == 0:
-                cold = np.full(active, self.first_invocation_cold, dtype=bool)
+                cold = np.ones(active, dtype=bool)
             else:
                 load_start = previous_times[:active] + prewarm[:active]
                 load_end = load_start + keepalive[:active]
@@ -411,7 +334,7 @@ class ColdStartSimulator:
                 continue
             count = int(counts_sorted[row])
             wasted_minutes = float(wasted[row])
-            if self.count_tail_waste and count > 0:
+            if count > 0:
                 last_time = float(flat[offsets[row] + count - 1])
                 wasted_minutes += self._waste_between(
                     last_time,
@@ -426,61 +349,11 @@ class ColdStartSimulator:
                 invocations=count,
                 cold_starts=int(cold_counts[row]),
                 wasted_memory_minutes=wasted_minutes,
-                memory_mb=float(memory_mb[item]) if memory_mb is not None else 1.0,
                 mode_counts=bank.mode_counts(row),
                 oob_idle_times=bank.oob_idle_times(row),
             )
         assert all(result is not None for result in results)
         return results  # type: ignore[return-value]
-
-    def _drain_row_scalar(
-        self,
-        bank: "PolicyBank",
-        row: int,
-        *,
-        app_id: str,
-        times: np.ndarray,
-        step: int,
-        previous_time: float,
-        previous_decision: PolicyDecision | None,
-        cold_count: int,
-        wasted_minutes: float,
-        memory_mb: float,
-    ) -> AppSimResult:
-        """Finish one bank row through the scalar loop.
-
-        The row is cloned into an equivalent scalar policy and its
-        remaining invocations replayed with exactly the scalar engine's
-        per-invocation operations, resuming the banked accumulators.
-        """
-        policy = bank.extract_policy(row)
-        for timestamp in times[step:]:
-            timestamp = float(timestamp)
-            if previous_decision is None:
-                cold = self.first_invocation_cold
-            else:
-                cold = not previous_decision.covers(previous_time, timestamp)
-                wasted_minutes += self._waste_between(
-                    previous_time, previous_decision, timestamp
-                )
-            if cold:
-                cold_count += 1
-            previous_decision = policy.on_invocation(timestamp, cold=cold)
-            previous_time = timestamp
-        if self.count_tail_waste and previous_decision is not None:
-            wasted_minutes += self._waste_between(
-                previous_time, previous_decision, self.horizon_minutes
-            )
-        mode_counts, oob_idle_times = _policy_mode_fields(policy)
-        return AppSimResult(
-            app_id=app_id,
-            invocations=int(times.size),
-            cold_starts=cold_count,
-            wasted_memory_minutes=wasted_minutes,
-            memory_mb=memory_mb,
-            mode_counts=mode_counts,
-            oob_idle_times=oob_idle_times,
-        )
 
 
 def _policy_mode_fields(policy: KeepAlivePolicy) -> tuple[dict[str, int], int]:
@@ -504,12 +377,8 @@ def simulate_application(
     *,
     horizon_minutes: float,
     app_id: str = "app",
-    memory_mb: float = 1.0,
 ) -> AppSimResult:
     """One-call convenience wrapper around :class:`ColdStartSimulator`."""
-    simulator = ColdStartSimulator(horizon_minutes)
-    result = simulator.simulate_app(
-        app_id, invocation_times_minutes, policy, memory_mb=memory_mb
+    return ColdStartSimulator(horizon_minutes).simulate_app(
+        app_id, invocation_times_minutes, policy
     )
-    assert isinstance(result, AppSimResult)
-    return result

@@ -3,13 +3,12 @@
 The per-application simulations behind Figures 14–18 are embarrassingly
 parallel: policies are per-application and the simulator models no
 cross-application contention.  :class:`SimulationEngine` owns the
-geometry that exploits this — application ranges resolved from a
-workload or a bare (typically memory-mapped)
-:class:`~repro.trace.store.InvocationStore` into :class:`CsrSlice`
-inputs (the store's flat timestamp column plus per-application
-offsets), contiguous application chunks that fit
-``max_resident_bytes``, and invocation-balanced shards
-for a ``fork`` worker pool — and runs one policy over the workload as a
+geometry that exploits this — application ranges of a workload's
+(typically memory-mapped) :class:`~repro.trace.store.InvocationStore`
+resolved into :class:`CsrSlice` inputs (the store's flat timestamp
+column plus per-application offsets), contiguous application chunks
+that fit ``max_resident_bytes``, and invocation-balanced shards for a
+``fork`` worker pool — and runs one policy over the workload as a
 **family of one**: :meth:`SimulationEngine.run_policy` hands the factory
 to the sweep engine's driver (:mod:`repro.simulation.sweep_engine`) as a
 one-member group, so a single-policy run and a policy sweep share one
@@ -92,13 +91,6 @@ class RunnerOptions:
     """Options shared by all policy runs over a workload.
 
     Attributes:
-        use_memory_weights: Weight each application's wasted memory time by
-            its average allocated memory.  The paper's simulator assumes
-            equal footprints (False), because memory data is not available
-            for every application; enabling this gives MB-weighted waste.
-        min_invocations: Applications with fewer invocations than this are
-            skipped entirely (0 keeps every application, including those
-            never invoked, which simply produce empty results).
         execution: ``"auto"`` (each policy family's fast evaluator) or
             ``"serial"`` (the reference scalar loop for every policy);
             ``"banked"`` is accepted as a spelling of ``"auto"``.
@@ -122,8 +114,6 @@ class RunnerOptions:
             unchunked passes evaluated range by range.
     """
 
-    use_memory_weights: bool = False
-    min_invocations: int = 1
     execution: str = "auto"
     workers: int | None = None
     sweep: str = "auto"
@@ -151,15 +141,13 @@ class RunnerOptions:
 class CsrSlice:
     """A contiguous application range's simulation inputs, in CSR layout.
 
-    Application ``i`` of the slice is ``app_ids[i]``, weighs
-    ``memory_mb[i]`` and has the timestamps
-    ``times[offsets[i]:offsets[i + 1]]`` (``offsets[0]`` is 0).
+    Application ``i`` of the slice is ``app_ids[i]`` and has the
+    timestamps ``times[offsets[i]:offsets[i + 1]]`` (``offsets[0]`` is 0).
     """
 
     app_ids: tuple[str, ...]
     times: np.ndarray
     offsets: np.ndarray
-    memory_mb: np.ndarray
 
     @property
     def counts(self) -> np.ndarray:
@@ -182,11 +170,10 @@ class SimulationEngine:
     (:meth:`~repro.simulation.sweep_engine.SweepEngine.run_group`), the
     same loop that evaluates whole policy families.
 
-    Accepts either a full :class:`~repro.trace.schema.Workload` or a bare
+    Accepts a :class:`~repro.trace.schema.Workload` or a bare
     :class:`~repro.trace.store.InvocationStore` (e.g. one streamed to disk
-    by ``repro trace gen`` and re-opened memory-mapped).  Store-only mode
-    has no per-application metadata, so ``use_memory_weights`` weighs
-    every application at 1 MB.
+    by ``repro trace gen`` and re-opened memory-mapped); either way it
+    reads only the store.
     """
 
     def __init__(
@@ -194,14 +181,9 @@ class SimulationEngine:
         workload: "Workload | InvocationStore",
         options: RunnerOptions | None = None,
     ) -> None:
-        if isinstance(workload, InvocationStore):
-            self.workload: "Workload | None" = None
-            self._store = workload
-            self._apps = None
-        else:
-            self.workload = workload
-            self._store = workload.store
-            self._apps = workload.apps
+        self._store = (
+            workload if isinstance(workload, InvocationStore) else workload.store
+        )
         self.options = options or RunnerOptions()
         self._simulator = ColdStartSimulator(
             horizon_minutes=self._store.duration_minutes
@@ -230,47 +212,34 @@ class SimulationEngine:
     ) -> CsrSlice:
         """The inputs of the applications in ``[start_app, stop_app)``.
 
-        Applications below ``min_invocations`` are left out.  ``times``
-        is a read-only, zero-copy slice of the store's flat sorted column
-        unless a left-out application has invocations — for a
-        memory-mapped store the bytes are only paged in when a simulation
-        touches them, which is what makes the ``max_resident_bytes``
-        chunked passes stream instead of loading the trace.  ``store``
-        substitutes a re-opened handle of the same archive (parallel
-        shard workers); application indices and ids are identical by
-        construction.
+        Applications without invocations are left out.  ``times`` is a
+        read-only, zero-copy slice of the store's flat sorted column —
+        for a memory-mapped store the bytes are only paged in when a
+        simulation touches them, which is what makes the
+        ``max_resident_bytes`` chunked passes stream instead of loading
+        the trace.  ``store`` substitutes a re-opened handle of the same
+        archive (parallel shard workers); application indices and ids are
+        identical by construction.
         """
         store = self._store if store is None else store
         stop_app = store.num_apps if stop_app is None else stop_app
         offsets = np.asarray(store.app_offsets[start_app : stop_app + 1], dtype=np.int64)
         times = store.times[offsets[0] : offsets[-1]]
         counts = np.diff(offsets)
-        keep = counts >= self.options.min_invocations
-        indices = np.flatnonzero(keep) + start_app
-        if keep.all():
+        invoked = counts > 0
+        if invoked.all():
             app_ids = store.app_ids[start_app:stop_app]
         else:
+            indices = np.flatnonzero(invoked) + start_app
             app_ids = tuple(store.app_ids[index] for index in indices.tolist())
-            if counts[~keep].any():
-                times = times[np.repeat(keep, counts)]
-            counts = counts[keep]
+            counts = counts[invoked]
         csr_offsets = np.zeros(counts.size + 1, dtype=np.int64)
         np.cumsum(counts, out=csr_offsets[1:])
-        if self._apps is not None and self.options.use_memory_weights:
-            memory_mb = np.array(
-                [self._apps[index].memory.average_mb for index in indices.tolist()],
-                dtype=np.float64,
-            )
-        else:
-            memory_mb = np.ones(counts.size, dtype=np.float64)
-        return CsrSlice(app_ids, times, csr_offsets, memory_mb)
+        return CsrSlice(app_ids, times, csr_offsets)
 
     def eligible_app_count(self) -> int:
-        """How many applications pass the ``min_invocations`` filter."""
-        if self.options.min_invocations <= 0:
-            return self._store.num_apps
-        counts = self._store.app_counts()
-        return int(np.count_nonzero(counts >= self.options.min_invocations))
+        """How many applications have invocations (and are simulated)."""
+        return int(np.count_nonzero(self._store.app_counts()))
 
     # ------------------------------------------------------------------ #
     # Memory-bounded chunking and parallel shard geometry

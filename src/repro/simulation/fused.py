@@ -11,16 +11,15 @@ leaves the process that made it; only each policy's result travels
 back, as one column block of a few arrays
 (:class:`~repro.simulation.metrics.AggregateResult`), and the parent
 concatenates the blocks in chunk order.  The iterator's bounded window
-of ``max_pending_chunks`` tasks gives natural backpressure: generation
+of ``gen_workers + 2`` tasks gives natural backpressure: generation
 never runs ahead of the parent by more than a few chunks, each worker
 holds one chunk at a time, and the parent holds at most one window of
 blocks plus the ``O(num_apps)`` result columns, regardless of
 invocation count.
 
 Because every engine route simulates applications independently, the
-concatenated per-chunk results equal a run over the full store: a bare
-store weighs every application 1 MB in both paths, and per-app metrics
-never look across application boundaries.  The equality is pinned per
+concatenated per-chunk results equal a run over the full store: per-app
+metrics never look across application boundaries.  The equality is pinned per
 route and per ``gen_workers`` by ``tests/simulation/test_fused.py``.
 """
 
@@ -45,7 +44,6 @@ def simulate_streamed(
     options: RunnerOptions | None = None,
     chunk_apps: int = DEFAULT_CHUNK_APPS,
     gen_workers: int = 1,
-    max_pending_chunks: int | None = None,
     progress: Callable[[int, int], None] | None = None,
 ) -> dict[str, AggregateResult]:
     """Generate a workload and simulate it in one streaming pass.
@@ -61,8 +59,6 @@ def simulate_streamed(
         chunk_apps: Applications generated and simulated per chunk — the
             streaming memory high-water mark.
         gen_workers: Processes that generate *and* simulate chunks.
-        max_pending_chunks: Chunks in flight ahead of the parent
-            (backpressure bound); defaults to ``gen_workers + 2``.
         progress: Optional ``(apps_done, num_apps)`` callback per chunk.
 
     Returns:
@@ -101,7 +97,6 @@ def simulate_streamed(
         config,
         chunk_apps=chunk_apps,
         workers=gen_workers,
-        max_pending_chunks=max_pending_chunks,
         per_chunk=simulate_chunk,
     ):
         for name, block in chunk_results.items():

@@ -51,7 +51,6 @@ class AppSimResult:
     invocations: int
     cold_starts: int
     wasted_memory_minutes: float
-    memory_mb: float = 1.0
     mode_counts: Mapping[str, int] = field(default_factory=dict)
     oob_idle_times: int = 0
 
@@ -86,11 +85,6 @@ class AppSimResult:
         """True when every invocation of the application was a cold start."""
         return self.invocations > 0 and self.cold_starts == self.invocations
 
-    @property
-    def wasted_memory_mb_minutes(self) -> float:
-        """Memory-weighted waste (MB·minutes)."""
-        return self.wasted_memory_minutes * self.memory_mb
-
 
 @dataclass(eq=False)
 class AggregateResult:
@@ -109,7 +103,6 @@ class AggregateResult:
     invocations: np.ndarray
     cold_starts: np.ndarray
     wasted_memory_minutes: np.ndarray
-    memory_mb: np.ndarray
     oob_idle_times: np.ndarray
     mode_counts: np.ndarray | None = None
 
@@ -119,7 +112,6 @@ class AggregateResult:
             self.invocations,
             self.cold_starts,
             self.wasted_memory_minutes,
-            self.memory_mb,
             self.oob_idle_times,
         )
         if any(column.shape != (num_apps,) for column in columns) or (
@@ -168,10 +160,6 @@ class AggregateResult:
     @property
     def total_wasted_memory_minutes(self) -> float:
         return sum(self.wasted_memory_minutes.tolist())
-
-    @property
-    def total_wasted_memory_mb_minutes(self) -> float:
-        return sum((self.wasted_memory_minutes * self.memory_mb).tolist())
 
     def cold_start_percentages(self) -> np.ndarray:
         """Per-application cold-start percentages (the CDF raw data)."""
@@ -293,7 +281,9 @@ class AggregateResult:
             "third_quartile_app_cold_start_pct": self.third_quartile_cold_start_percentage,
             "always_cold_fraction": self.always_cold_fraction,
             "wasted_memory_minutes": self.total_wasted_memory_minutes,
-            "wasted_memory_mb_minutes": self.total_wasted_memory_mb_minutes,
+            # Every application weighs the same; the key stays because the
+            # bench digest hashes the key names.
+            "wasted_memory_mb_minutes": self.total_wasted_memory_minutes,
         }
 
 
@@ -338,17 +328,16 @@ class AppResultRows(SequenceABC):
             result.invocations[index].tolist(),
             result.cold_starts[index].tolist(),
             result.wasted_memory_minutes[index].tolist(),
-            result.memory_mb[index].tolist(),
             result.oob_idle_times[index].tolist(),
         )
         if result.mode_counts is None:
-            for app_id, invocations, cold, wasted, memory, oob in columns:
-                yield AppSimResult(app_id, invocations, cold, wasted, memory, {}, oob)
+            for app_id, invocations, cold, wasted, oob in columns:
+                yield AppSimResult(app_id, invocations, cold, wasted, {}, oob)
             return
         modes = result.mode_counts[index].tolist()
-        for (app_id, invocations, cold, wasted, memory, oob), counts in zip(columns, modes):
+        for (app_id, invocations, cold, wasted, oob), counts in zip(columns, modes):
             yield AppSimResult(
-                app_id, invocations, cold, wasted, memory, dict(zip(MODE_NAMES, counts)), oob
+                app_id, invocations, cold, wasted, dict(zip(MODE_NAMES, counts)), oob
             )
 
 
@@ -368,7 +357,6 @@ def _from_rows(policy_name: str, rows: Sequence[AppSimResult]) -> AggregateResul
         wasted_memory_minutes=np.array(
             [row.wasted_memory_minutes for row in rows], dtype=np.float64
         ),
-        memory_mb=np.array([row.memory_mb for row in rows], dtype=np.float64),
         oob_idle_times=np.array([row.oob_idle_times for row in rows], dtype=np.int64),
         mode_counts=(
             np.array(
@@ -417,7 +405,6 @@ def merge_results(
         wasted_memory_minutes=np.concatenate(
             [block.wasted_memory_minutes for block in blocks]
         ),
-        memory_mb=np.concatenate([block.memory_mb for block in blocks]),
         oob_idle_times=np.concatenate([block.oob_idle_times for block in blocks]),
         mode_counts=mode_counts,
     )

@@ -40,12 +40,12 @@ __all__ = [
 
 
 class WorkloadRunner:
-    """Evaluates policies over every application of a workload.
+    """Evaluates policies over every invoked application of a workload.
 
     Also accepts a bare :class:`~repro.trace.store.InvocationStore` — for
     example one streamed to disk by ``repro trace gen`` and re-opened
-    memory-mapped — in which case per-application metadata (memory
-    weights) is unavailable and every application weighs 1 MB.
+    memory-mapped — and gives the same results for it, because the
+    simulator reads only the store.
     """
 
     def __init__(

@@ -114,10 +114,9 @@ def _run(
     workload: Workload,
     factories: Sequence[PolicyFactory],
     *,
-    baseline_minutes: float = BASELINE_KEEPALIVE_MINUTES,
     options: RunnerOptions | None = None,
 ) -> SweepResult:
-    """Run factories plus the normalization baseline over the workload.
+    """Run factories plus the 10-minute normalization baseline.
 
     The evaluator (``auto`` / ``serial``) and the worker count come from
     ``options``; the runner routes shareable policy families through the
@@ -126,7 +125,7 @@ def _run(
     Duplicate factory names raise ``ValueError`` (results are keyed by
     name and would silently overwrite each other).
     """
-    baseline_factory = fixed_keepalive_factory(baseline_minutes)
+    baseline_factory = fixed_keepalive_factory(BASELINE_KEEPALIVE_MINUTES)
     all_factories = list(factories)
     if all(factory.name != baseline_factory.name for factory in all_factories):
         all_factories.append(baseline_factory)
@@ -159,11 +158,10 @@ def sweep_hybrid_ranges(
     workload: Workload,
     range_hours: Sequence[float] = FIGURE_15_HYBRID_RANGE_HOURS,
     *,
-    base_config: HybridPolicyConfig | None = None,
     options: RunnerOptions | None = None,
 ) -> SweepResult:
     """Evaluate the hybrid policy for several histogram ranges."""
-    base = base_config or HybridPolicyConfig()
+    base = HybridPolicyConfig()
     factories = [hybrid_factory(base.with_range_hours(hours)) for hours in range_hours]
     return _run(workload, factories, options=options)
 
@@ -173,11 +171,10 @@ def sweep_fixed_and_hybrid(
     *,
     keepalive_minutes: Sequence[float] = FIGURE_14_KEEPALIVE_MINUTES,
     range_hours: Sequence[float] = FIGURE_15_HYBRID_RANGE_HOURS,
-    base_config: HybridPolicyConfig | None = None,
     options: RunnerOptions | None = None,
 ) -> SweepResult:
     """The full Figure 15 sweep: both policy families over one workload."""
-    base = base_config or HybridPolicyConfig()
+    base = HybridPolicyConfig()
     factories: list[PolicyFactory] = [fixed_keepalive_factory(m) for m in keepalive_minutes]
     factories.extend(hybrid_factory(base.with_range_hours(hours)) for hours in range_hours)
     return _run(workload, factories, options=options)
@@ -190,12 +187,11 @@ def sweep_cutoffs(
     workload: Workload,
     cutoffs: Sequence[tuple[float, float]] = FIGURE_16_CUTOFFS,
     *,
-    base_config: HybridPolicyConfig | None = None,
     include_no_unloading: bool = True,
     options: RunnerOptions | None = None,
 ) -> SweepResult:
     """Evaluate the hybrid policy for several head/tail cutoff pairs."""
-    base = base_config or HybridPolicyConfig()
+    base = HybridPolicyConfig()
     factories: list[PolicyFactory] = []
     if include_no_unloading:
         factories.append(no_unloading_factory())
@@ -210,7 +206,6 @@ def sweep_cutoffs(
 def sweep_prewarming(
     workload: Workload,
     *,
-    base_config: HybridPolicyConfig | None = None,
     options: RunnerOptions | None = None,
 ) -> SweepResult:
     """Evaluate pre-warming variants of the hybrid policy (Figure 17).
@@ -222,12 +217,12 @@ def sweep_prewarming(
     * ``hybrid-…[1,99]`` — pre-warm from the 1st percentile;
     * ``hybrid-…[5,99]`` — pre-warm from the 5th percentile (default).
     """
-    base = base_config or HybridPolicyConfig()
-    return _run(workload, _prewarming_factories(base), options=options)
+    return _run(workload, _prewarming_factories(), options=options)
 
 
-def _prewarming_factories(base: HybridPolicyConfig) -> list[PolicyFactory]:
+def _prewarming_factories() -> list[PolicyFactory]:
     """The Figure 17 policy list (pre-warming variants + upper bound)."""
+    base = HybridPolicyConfig()
     return [
         hybrid_factory(base.with_overrides(enable_prewarming=False)),
         hybrid_factory(base.with_cutoffs(1.0, 99.0)),
@@ -243,25 +238,21 @@ def sweep_cv_threshold(
     workload: Workload,
     thresholds: Sequence[float] = FIGURE_18_CV_THRESHOLDS,
     *,
-    base_config: HybridPolicyConfig | None = None,
     options: RunnerOptions | None = None,
 ) -> SweepResult:
     """Evaluate the hybrid policy for several CV thresholds (4-hour range)."""
-    base = base_config or HybridPolicyConfig()
-    factories = [_cv_threshold_factory(base, threshold) for threshold in thresholds]
+    factories = [_cv_threshold_factory(threshold) for threshold in thresholds]
     factories.append(no_unloading_factory())
     return _run(workload, factories, options=options)
 
 
-def _cv_threshold_factory(base: HybridPolicyConfig, threshold: float) -> PolicyFactory:
+def _cv_threshold_factory(threshold: float) -> PolicyFactory:
     """One Figure 18 configuration, relabelled by its CV threshold.
 
     ``renamed`` keeps the family metadata, so the whole threshold grid
     still shares a single histogram pass in the sweep engine.
     """
-    return hybrid_factory(base.with_overrides(cv_threshold=threshold)).renamed(
-        f"hybrid-cv{threshold:g}"
-    )
+    return hybrid_factory(cv_threshold=threshold).renamed(f"hybrid-cv{threshold:g}")
 
 
 # --------------------------------------------------------------------------- #
@@ -297,7 +288,6 @@ def sweep_arima_contribution(
     workload: Workload,
     *,
     range_minutes: float = 240.0,
-    base_config: HybridPolicyConfig | None = None,
     options: RunnerOptions | None = None,
 ) -> AlwaysColdComparison:
     """Compare fixed, hybrid-without-ARIMA, and full hybrid policies.
@@ -311,9 +301,7 @@ def sweep_arima_contribution(
     sweep engine (the ARIMA-free variant simply never takes the forecast
     branch).
     """
-    base = (base_config or HybridPolicyConfig()).with_overrides(
-        histogram_range_minutes=range_minutes
-    )
+    base = HybridPolicyConfig(histogram_range_minutes=range_minutes)
     runner = WorkloadRunner(workload, options)
     factories = [
         fixed_keepalive_factory(range_minutes),
@@ -331,9 +319,7 @@ def sweep_arima_contribution(
 # --------------------------------------------------------------------------- #
 # Default figure factory lists (the `repro sweep` CLI and the benchmarks)
 # --------------------------------------------------------------------------- #
-def figure_factories(
-    figure: str, *, base_config: HybridPolicyConfig | None = None
-) -> list[PolicyFactory]:
+def figure_factories(figure: str) -> list[PolicyFactory]:
     """The default policy list behind one of the sweep figures.
 
     Args:
@@ -341,12 +327,11 @@ def figure_factories(
             ``fig15`` (fixed grid + hybrid histogram ranges), ``fig16``
             (head/tail cutoffs), ``fig17`` (pre-warming variants), or
             ``fig18`` (CV thresholds).
-        base_config: Base hybrid configuration the variants derive from.
 
     Raises:
         ValueError: For an unknown figure identifier.
     """
-    base = base_config or HybridPolicyConfig()
+    base = HybridPolicyConfig()
     if figure == "fig14":
         factories: list[PolicyFactory] = [
             fixed_keepalive_factory(m) for m in FIGURE_14_KEEPALIVE_MINUTES
@@ -368,11 +353,10 @@ def figure_factories(
         )
         return factories
     if figure == "fig17":
-        return _prewarming_factories(base)
+        return _prewarming_factories()
     if figure == "fig18":
         factories = [
-            _cv_threshold_factory(base, threshold)
-            for threshold in FIGURE_18_CV_THRESHOLDS
+            _cv_threshold_factory(threshold) for threshold in FIGURE_18_CV_THRESHOLDS
         ]
         factories.append(no_unloading_factory())
         return factories
@@ -382,29 +366,23 @@ def figure_factories(
     )
 
 
-def combined_figure_factories(
-    figures: Iterable[str],
-    *,
-    base_config: HybridPolicyConfig | None = None,
-    include_baseline: bool = True,
-) -> list[PolicyFactory]:
+def combined_figure_factories(figures: Iterable[str]) -> list[PolicyFactory]:
     """Deduplicated union of several figures' policy lists.
 
     Keeps the first occurrence of each policy name (the figures share the
-    no-unloading bound and often the 10-minute baseline) and optionally
-    appends the 10-minute normalization baseline when absent, so the
-    result can be fed straight to
+    no-unloading bound and often the 10-minute baseline) and appends the
+    10-minute normalization baseline when absent, so the result can be
+    fed straight to
     :meth:`~repro.simulation.runner.WorkloadRunner.run_policies`.
     """
     factories: list[PolicyFactory] = []
     seen: set[str] = set()
     for figure in figures:
-        for factory in figure_factories(figure, base_config=base_config):
+        for factory in figure_factories(figure):
             if factory.name not in seen:
                 seen.add(factory.name)
                 factories.append(factory)
-    if include_baseline:
-        baseline = fixed_keepalive_factory(BASELINE_KEEPALIVE_MINUTES)
-        if baseline.name not in seen:
-            factories.append(baseline)
+    baseline = fixed_keepalive_factory(BASELINE_KEEPALIVE_MINUTES)
+    if baseline.name not in seen:
+        factories.append(baseline)
     return factories

@@ -294,14 +294,11 @@ def _evaluate_scalar(
     factory that declares no policy family runs under ``auto``.  Its
     per-application rows become columns once per policy.
     """
-    apps = list(zip(chunk.app_ids, chunk.app_times(), chunk.memory_mb.tolist()))
+    apps = list(zip(chunk.app_ids, chunk.app_times()))
     return {
         factory.name: merge_results(
             factory.name,
-            [
-                simulator.simulate_app(app_id, times, factory.create(), memory_mb=memory_mb)
-                for app_id, times, memory_mb in apps
-            ],
+            [simulator.simulate_app(app_id, times, factory.create()) for app_id, times in apps],
         )
         for factory in factories
     }
@@ -319,19 +316,20 @@ def _evaluate_constant_family(
 
     The chunk's flat timestamp column, validated once, its
     per-invocation start/arrival views, and the result columns every
-    configuration shares (ids, invocations, weights, a zero OOB count)
-    serve the whole grid; each ``K`` then costs a handful of flat array
-    operations.  Each per-gap term is the
-    scalar simulator's arithmetic for a constant ``(prewarm=0, K)``
-    decision (``K = inf`` models no-unloading): an arrival at or before
-    the window's expiry is warm (``PolicyDecision.covers``), and the idle
-    loaded time is the part of the window elapsed before the next arrival,
-    clipped to the horizon.  Each gap's terms sit at the position of the
-    invocation ending it, so an application's segment starts with a zero
-    and one ``reduceat`` over the segment starts sums every application;
-    only the summation differs from the scalar loop — numpy's pairwise
-    sum instead of sequential accumulation — which stays well within 1e-9
-    of the scalar totals.
+    configuration shares (ids, invocations, a zero OOB count) serve the
+    whole grid; each ``K`` then costs a handful of flat array operations.
+    Each per-gap term is the scalar simulator's arithmetic for a constant
+    ``(prewarm=0, K)`` decision (``K = inf`` models no-unloading): an
+    application's first arrival is cold, a later one at or before the
+    window's expiry is warm (``PolicyDecision.covers``), and the idle
+    loaded time is the part of the window elapsed before the next
+    arrival — or, after the last arrival, before the horizon.  Each gap's
+    terms sit at the position of the invocation ending it, so an
+    application's segment starts with a zero and one ``reduceat`` over
+    the segment starts sums every application; only the summation
+    differs from the scalar loop — numpy's pairwise sum instead of
+    sequential accumulation — which stays well within 1e-9 of the scalar
+    totals.
     """
     horizon = simulator.horizon_minutes
     flat = simulator.validate_csr(chunk.times, chunk.offsets)
@@ -362,23 +360,18 @@ def _evaluate_constant_family(
             window_end -= gap_starts
             np.maximum(window_end, 0.0, out=terms[1:])
             terms[starts] = 0.0
-            cold_per_app = np.add.reduceat(cold, starts, dtype=np.int64)
-            if simulator.first_invocation_cold:
-                cold_per_app += 1
-            wasted = np.add.reduceat(terms, starts)
-            if simulator.count_tail_waste:
-                last = flat[lasts]
-                tail_end = np.minimum(last + keepalive, horizon)
-                wasted += np.where(tail_end > last, tail_end - last, 0.0)
-            cold_starts[populated] = cold_per_app
-            wasted_minutes[populated] = wasted
+            cold_starts[populated] = np.add.reduceat(cold, starts, dtype=np.int64) + 1
+            last = flat[lasts]
+            tail_end = np.minimum(last + keepalive, horizon)
+            wasted_minutes[populated] = np.add.reduceat(terms, starts) + np.where(
+                tail_end > last, tail_end - last, 0.0
+            )
         results[factory.name] = AggregateResult(
             factory.name,
             chunk.app_ids,
             invocations=counts,
             cold_starts=cold_starts,
             wasted_memory_minutes=wasted_minutes,
-            memory_mb=chunk.memory_mb,
             oob_idle_times=no_oob,
         )
     return results
@@ -414,7 +407,6 @@ def _record_hybrid_family(
     simulator: "ColdStartSimulator",
     bin_width_minutes: float,
     percentiles: dict[float, Sequence[float]],
-    drain_threshold: int = DEFAULT_SCALAR_DRAIN_THRESHOLD,
 ) -> _HybridFamilyRecording:
     """One shared pass over the workload recording per-invocation state.
 
@@ -429,7 +421,8 @@ def _record_hybrid_family(
     of every (range, percentile) pair come from the bank's percentile
     cursors: consecutive decisions of one application rarely move a bin,
     so only the few cursors that moved are searched again
-    (:mod:`repro.core.histogram_bank`).  Once ``drain_threshold`` or
+    (:mod:`repro.core.histogram_bank`).  Once
+    :data:`~repro.simulation.coldstart.DEFAULT_SCALAR_DRAIN_THRESHOLD` or
     fewer rows remain active, each survivor is cloned into one scalar
     :class:`~repro.core.histogram.IdleTimeHistogram` per range
     (:meth:`HistogramBank.extract_row` preserves the exact Welford state)
@@ -481,7 +474,7 @@ def _record_hybrid_family(
     bins = dict(zip(pairs, bin_rows))
     for step in range(max_count):
         active = int(active_per_step[step])
-        if active <= drain_threshold:
+        if active <= DEFAULT_SCALAR_DRAIN_THRESHOLD:
             # Scalar drain: record the few longest applications to the end
             # through scalar histograms resumed from their bank rows.
             for row in range(active):
@@ -649,9 +642,8 @@ def _evaluate_hybrid_family(
     Every configuration stages its per-invocation conditions and windows
     in one shared set of scratch rows instead of fresh temporaries, so a
     pass holds about :data:`~repro.simulation.engine.PASS_BYTES_PER_INVOCATION`
-    bytes per invocation whatever the family's size.  The ids,
-    invocation and weight columns are shared by every configuration's
-    result.
+    bytes per invocation whatever the family's size.  The ids and
+    invocation columns are shared by every configuration's result.
     """
     configs = [factory.family_config for factory in factories]
     bin_width = configs[0].bin_width_minutes
@@ -672,7 +664,6 @@ def _evaluate_hybrid_family(
             factory.name,
             chunk.app_ids,
             invocations=invocations,
-            memory_mb=chunk.memory_mb,
             **_evaluate_hybrid_config(recording, config, memo, simulator, scratch),
         )
         for factory, config in zip(factories, configs)
@@ -787,14 +778,12 @@ def _evaluate_hybrid_config(
     load_end += load_start
     cold = np.empty(times.size, dtype=bool)
     cold[1:] = ~((load_start[:-1] <= times[1:]) & (times[1:] <= load_end[:-1]))
-    cold[starts] = simulator.first_invocation_cold
-    wasted = np.zeros(populated_rows)
-    if simulator.count_tail_waste:
-        # The last decision's waste up to the horizon, with the
-        # arithmetic of ColdStartSimulator._waste_between.
-        tail_end = np.minimum(load_end[lasts], horizon)
-        tail_start = load_start[lasts]
-        wasted = np.where(tail_end > tail_start, tail_end - tail_start, 0.0)
+    cold[starts] = True
+    # The last decision's waste up to the horizon, with the arithmetic of
+    # ColdStartSimulator._waste_between.
+    tail_end = np.minimum(load_end[lasts], horizon)
+    tail_start = load_start[lasts]
+    wasted = np.where(tail_end > tail_start, tail_end - tail_start, 0.0)
     # The pre-warming row is spent: it now holds each gap's idle loaded
     # time, the load end clipped to the next arrival and the horizon,
     # minus the load start.  The load-start row is spent next: shifted by

@@ -110,7 +110,6 @@ def iter_chunk_columns(
     *,
     chunk_apps: int = DEFAULT_CHUNK_APPS,
     workers: int = 1,
-    max_pending_chunks: int | None = None,
     per_chunk: Callable[[ChunkColumns], object] | None = None,
 ) -> Iterator:
     """Generate the workload as an in-order stream of column chunks.
@@ -120,18 +119,16 @@ def iter_chunk_columns(
     (:func:`repro.simulation.fused.simulate_streamed`).  Each chunk is
     one :meth:`~repro.trace.generator.WorkloadGenerator.generate_app_range`
     call.  With ``workers > 1`` chunk ranges are dispatched to a forked
-    pool and reassembled in chunk order with at most
-    ``max_pending_chunks`` in flight, so a slow consumer throttles the
-    workers and peak memory stays one window of results; with one worker
-    the chunks are made lazily in this process.  Output is byte-for-byte
+    pool and reassembled in chunk order with at most ``workers + 2`` in
+    flight (:func:`~repro.core.pool.fork_pool_imap`), so a slow consumer
+    throttles the workers and peak memory stays one window of results;
+    with one worker the chunks are made lazily in this process.  Output is byte-for-byte
     independent of ``workers``.
 
     Args:
         config: Generator parameters.
         chunk_apps: Applications per chunk (parallel task granularity).
         workers: Generation processes (``1`` = in-process, lazy).
-        max_pending_chunks: In-flight reassembly window; defaults to
-            ``workers + 2``.
         per_chunk: Optional function applied to each chunk where the
             chunk is made: in the forked worker that generated it, or in
             this process for one worker.  The iterator then yields its
@@ -156,7 +153,7 @@ def iter_chunk_columns(
         )
         return columns if per_chunk is None else per_chunk(columns)
 
-    yield from fork_pool_imap(task, num_chunks, workers, max_pending=max_pending_chunks)
+    yield from fork_pool_imap(task, num_chunks, workers)
 
 
 def stream_workload_to_store(
@@ -165,7 +162,6 @@ def stream_workload_to_store(
     *,
     chunk_apps: int = DEFAULT_CHUNK_APPS,
     workers: int = 1,
-    max_pending_chunks: int | None = None,
     progress: Callable[[int, int], None] | None = None,
 ) -> StreamStats:
     """Generate a workload straight into an on-disk columnar store.
@@ -178,17 +174,13 @@ def stream_workload_to_store(
             memory high-water mark of the column data.
         workers: Generation worker processes; the archive is
             byte-identical for every worker count.
-        max_pending_chunks: Parallel reassembly window (see
-            :func:`iter_chunk_columns`).
         progress: Optional ``(apps_done, num_apps)`` callback per chunk.
 
     Returns:
         A :class:`StreamStats` describing the published archive.
     """
     _validate_stream_arguments(chunk_apps, workers)
-    chunks = iter_chunk_columns(
-        config, chunk_apps=chunk_apps, workers=workers, max_pending_chunks=max_pending_chunks
-    )
+    chunks = iter_chunk_columns(config, chunk_apps=chunk_apps, workers=workers)
     apps_done = 0
     with InvocationStoreWriter(path, duration_minutes=config.duration_minutes) as writer:
         for chunk in chunks:

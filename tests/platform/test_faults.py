@@ -23,7 +23,7 @@ from repro.platform.cluster import ClusterConfig, FaasCluster
 from repro.platform.events import EventLoop
 from repro.platform.faults import FaultInjector, FaultPlan
 from repro.platform.invoker import Invoker
-from repro.platform.loadbalancer import LoadBalancer, _stable_hash
+from repro.platform.loadbalancer import ConsistentHashBalancer, LoadBalancer, _stable_hash
 from repro.platform.metrics import PlatformMetrics
 from repro.platform.replay import ReplayConfig, TraceReplayer
 from repro.policies.registry import fixed_keepalive_factory
@@ -210,6 +210,23 @@ class TestCrashStateRegressions:
         for app_id in app_ids:
             decision = balancer.place(app_id, 64.0)
             assert decision is not None
+
+    @pytest.mark.parametrize("balancer_class", [LoadBalancer, ConsistentHashBalancer])
+    def test_rejected_last_invoker_removal_leaves_fleet_intact(self, balancer_class):
+        """Refusing to remove the last invoker must not change the fleet.
+
+        Regression: the invoker was removed before the check, so the
+        plain ring divided by a zero fleet size on the next placement and
+        the consistent-hash ring kept placing on the removed invoker.
+        """
+        invoker = make_invoker()
+        balancer = balancer_class([invoker])
+        with pytest.raises(ValueError, match="last invoker"):
+            balancer.remove_invoker(invoker)
+        assert balancer.fleet_size == 1
+        assert balancer.invokers == [invoker]
+        decision = balancer.place("app", 64.0)
+        assert decision is not None and decision.invoker is invoker
 
     def test_memory_accounting_resets_on_crash(self):
         """Destroyed containers must not leave phantom memory usage.

@@ -333,28 +333,6 @@ class TestBankedSimulationAgainstSerial:
             simulator.simulate_apps_banked(["a"], [[HORIZON + 1.0]], factory)
         with pytest.raises(ValueError, match="one invocation array"):
             simulator.simulate_apps_banked(["a", "b"], [[1.0]], factory)
-        with pytest.raises(ValueError, match="memory footprint"):
-            simulator.simulate_apps_banked(["a"], [[1.0]], factory, memory_mb=[1.0, 2.0])
-
-    def test_memory_weights_flow_through(self):
-        streams = {"a": np.array([0.0, 10.0, 400.0]), "b": np.array([5.0, 30.0])}
-        simulator = ColdStartSimulator(horizon_minutes=HORIZON)
-        config = HybridPolicyConfig()
-        banked = simulator.simulate_apps_banked(
-            list(streams),
-            list(streams.values()),
-            lambda n: HybridPolicyBank(n, config),
-            memory_mb=[128.0, 256.0],
-        )
-        assert [r.memory_mb for r in banked] == [128.0, 256.0]
-        # Footprints may arrive as a numpy array (with falsy elements).
-        banked = simulator.simulate_apps_banked(
-            list(streams),
-            list(streams.values()),
-            lambda n: HybridPolicyBank(n, config),
-            memory_mb=np.array([0.0, 256.0]),
-        )
-        assert [r.memory_mb for r in banked] == [0.0, 256.0]
 
 
 # --------------------------------------------------------------------------- #

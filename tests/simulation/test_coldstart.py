@@ -10,11 +10,7 @@ from hypothesis import strategies as st
 from repro.core.hybrid import HybridHistogramPolicy
 from repro.policies.fixed import FixedKeepAlivePolicy
 from repro.policies.no_unload import NoUnloadingPolicy
-from repro.simulation.coldstart import (
-    AppSimulationTrace,
-    ColdStartSimulator,
-    simulate_application,
-)
+from repro.simulation.coldstart import ColdStartSimulator, simulate_application
 from repro.simulation.metrics import AppSimResult
 
 HORIZON = 1440.0
@@ -115,37 +111,10 @@ class TestPrewarmingSimulation:
 
 
 class TestSimulatorOptions:
-    def test_first_invocation_can_be_warm(self):
-        simulator = ColdStartSimulator(HORIZON, first_invocation_cold=False)
-        result = simulator.simulate_app("a", [5.0], FixedKeepAlivePolicy(10))
-        assert result.cold_starts == 0
-
-    def test_tail_waste_can_be_excluded(self):
-        simulator = ColdStartSimulator(HORIZON, count_tail_waste=False)
-        result = simulator.simulate_app("a", [0.0], FixedKeepAlivePolicy(10))
-        assert result.wasted_memory_minutes == 0.0
-
-    def test_detailed_trace(self):
-        simulator = ColdStartSimulator(HORIZON)
-        trace = simulator.simulate_app(
-            "a", [0.0, 5.0, 50.0], FixedKeepAlivePolicy(10), detailed=True
-        )
-        assert isinstance(trace, AppSimulationTrace)
-        assert trace.invocations == 3
-        assert [o.cold for o in trace.outcomes] == [True, False, True]
-
     def test_unsorted_input_rejected_by_default(self):
         simulator = ColdStartSimulator(HORIZON)
-        with pytest.raises(ValueError, match="sorted"):
+        with pytest.raises(ValueError, match="must be sorted ascending"):
             simulator.simulate_app("a", [50.0, 0.0, 5.0], FixedKeepAlivePolicy(10))
-
-    def test_unsorted_input_sorted_on_opt_in(self):
-        simulator = ColdStartSimulator(HORIZON)
-        result = simulator.simulate_app(
-            "a", [50.0, 0.0, 5.0], FixedKeepAlivePolicy(10), sort=True
-        )
-        assert result.invocations == 3
-        assert result.cold_starts == 2
 
     def test_out_of_horizon_rejected(self):
         simulator = ColdStartSimulator(100.0)
@@ -153,9 +122,8 @@ class TestSimulatorOptions:
             simulator.simulate_app("a", [150.0], FixedKeepAlivePolicy(10))
 
     def test_out_of_horizon_rejected_before_sorting(self):
-        # The range check must see the raw input: a malformed (unsorted,
-        # out-of-horizon) trace is reported as out of horizon, not silently
-        # sorted first and then partially accepted.
+        # The range check comes first: a malformed (unsorted,
+        # out-of-horizon) trace is reported as out of horizon.
         simulator = ColdStartSimulator(100.0)
         with pytest.raises(ValueError, match="horizon"):
             simulator.simulate_app("a", [150.0, 10.0], FixedKeepAlivePolicy(10))

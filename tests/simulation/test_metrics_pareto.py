@@ -30,13 +30,12 @@ from repro.trace import stream
 from repro.trace.generator import GeneratorConfig, WorkloadGenerator
 
 
-def _result(app_id, invocations, cold, waste, memory=1.0):
+def _result(app_id, invocations, cold, waste):
     return AppSimResult(
         app_id=app_id,
         invocations=invocations,
         cold_starts=cold,
         wasted_memory_minutes=waste,
-        memory_mb=memory,
     )
 
 
@@ -50,11 +49,10 @@ class TestAppSimResult:
             _result("a", 1, 0, -1.0)
 
     def test_percentages_and_flags(self):
-        result = _result("a", 4, 1, 10.0, memory=200.0)
+        result = _result("a", 4, 1, 10.0)
         assert result.cold_start_percentage == 25.0
         assert result.warm_starts == 3
         assert not result.always_cold
-        assert result.wasted_memory_mb_minutes == pytest.approx(2000.0)
         assert _result("b", 2, 2, 0.0).always_cold
         assert _result("c", 0, 0, 0.0).cold_start_percentage == 0.0
 
@@ -139,7 +137,6 @@ def app_rows(draw, *, hybrid: bool) -> AppSimResult:
         invocations=invocations,
         cold_starts=cold,
         wasted_memory_minutes=waste,
-        memory_mb=draw(st.sampled_from([1.0, 0.5, 128.0, 3.3])),
         mode_counts=modes,
         oob_idle_times=draw(st.integers(0, max(invocations - 1, 0))),
     )
@@ -185,7 +182,7 @@ def walked_statistics(rows: list[AppSimResult], baseline: list[AppSimResult]) ->
                 0.0 if not rows else sum(1 for r in rows if r.always_cold) / num_apps
             ),
             "wasted_memory_minutes": wasted,
-            "wasted_memory_mb_minutes": sum(r.wasted_memory_mb_minutes for r in rows),
+            "wasted_memory_mb_minutes": wasted,
         },
         "mode_usage": usage,
         "cdf": (
@@ -252,7 +249,7 @@ class TestLazyRows:
     def result(self):
         rows = [
             AppSimResult(
-                f"app-{i}", i + 1, i % 3, 0.5 * i, 2.0,
+                f"app-{i}", i + 1, i % 3, 0.5 * i,
                 {"histogram": i, "standard": 1, "arima": 0}, i // 2,
             )
             for i in range(10)
@@ -326,7 +323,6 @@ class TestLazyRows:
             invocations=np.array([4, 4, 4]),
             cold_starts=np.array([1, 2, 3]),
             wasted_memory_minutes=np.array([1.0, 2.0, 3.0]),
-            memory_mb=np.ones(3),
             oob_idle_times=np.array([0, 1, 2]),
         )
         row = dict(
@@ -352,7 +348,6 @@ class TestLazyRows:
                 invocations=np.array([1, 1]),
                 cold_starts=np.array([1, 2]),
                 wasted_memory_minutes=np.array([-1.0, 0.0]),
-                memory_mb=np.ones(2),
                 oob_idle_times=np.zeros(2, dtype=np.int64),
             )
 
@@ -364,7 +359,6 @@ class TestLazyRows:
                 invocations=np.array([1]),
                 cold_starts=np.array([1]),
                 wasted_memory_minutes=np.zeros(1),
-                memory_mb=np.ones(1),
                 oob_idle_times=np.zeros(1, dtype=np.int64),
             )
 

@@ -205,7 +205,6 @@ class TestStoreOnlyEngine:
     def test_store_engine_exposes_store(self, mapped_store):
         engine = SimulationEngine(mapped_store)
         assert engine.store is mapped_store
-        assert engine.workload is None
 
 
 class TestSharedMemoryShards:

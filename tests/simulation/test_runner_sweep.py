@@ -28,18 +28,10 @@ class TestWorkloadRunner:
         assert result.num_apps == 2
         assert result.total_invocations == two_app_workload.total_invocations
 
-    def test_min_invocations_filter(self):
+    def test_apps_without_invocations_skipped(self):
         workload = make_workload({"busy": [1.0, 2.0, 3.0], "idle": []})
-        runner = WorkloadRunner(workload, RunnerOptions(min_invocations=1))
-        result = runner.run_policy(fixed_keepalive_factory(10))
-        assert result.num_apps == 1
-
-    def test_memory_weighting(self, two_app_workload):
-        weighted = WorkloadRunner(
-            two_app_workload, RunnerOptions(use_memory_weights=True)
-        ).run_policy(fixed_keepalive_factory(10))
-        unweighted = WorkloadRunner(two_app_workload).run_policy(fixed_keepalive_factory(10))
-        assert weighted.total_wasted_memory_mb_minutes > unweighted.total_wasted_memory_mb_minutes
+        result = WorkloadRunner(workload).run_policy(fixed_keepalive_factory(10))
+        assert result.app_ids == ("busy",)
 
     def test_progress_callback_invoked(self, two_app_workload):
         calls = []

@@ -62,12 +62,12 @@ def streams_workload():
     )
 
 
-def run_both(workload, factories, **options):
+def run_both(workload, factories):
     """One serial reference run per policy and one family run of the list."""
     reference = WorkloadRunner(
-        workload, RunnerOptions(execution="serial", sweep="per-policy", **options)
+        workload, RunnerOptions(execution="serial", sweep="per-policy")
     ).run_policies(factories)
-    family = WorkloadRunner(workload, RunnerOptions(**options)).run_policies(factories)
+    family = WorkloadRunner(workload).run_policies(factories)
     return reference, family
 
 
@@ -379,19 +379,8 @@ class TestFamilyEquivalence:
             hybrid_factory(),
             hybrid_factory(cv_threshold=0.0).renamed("hybrid-cv0"),
         ]
-        reference, family = run_both(
-            workload, factories, min_invocations=0
-        )
+        reference, family = run_both(workload, factories)
         assert_results_match(reference, family)
-
-    def test_memory_weights_flow_through(self, streams_workload):
-        factories = figure_factories("fig14")[:3] + [hybrid_factory()]
-        reference, family = run_both(
-            streams_workload, factories, use_memory_weights=True
-        )
-        assert_results_match(reference, family)
-        result = next(iter(family.values()))
-        assert any(r.memory_mb != 1.0 for r in result.app_results)
 
     def test_parallel_sharding_matches_in_process(self, streams_workload):
         factories = combined_figure_factories(("fig14", "fig16"))
