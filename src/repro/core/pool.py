@@ -199,11 +199,11 @@ def fork_pool_imap(
 
     The in-order bounded reassembly queue: at most ``workers + 2`` tasks
     — enough to keep every worker busy while the consumer drains the
-    head of the queue — are dispatched ahead of the consumer, so a slow consumer throttles
-    the workers (backpressure) and peak memory is one window of results,
-    never ``num_tasks`` of them.  Results are yielded strictly in task-id
-    order no matter which worker finishes first, so consumers see exactly
-    the sequence a serial loop would produce.
+    head of the queue — are dispatched ahead of the consumer, so a slow
+    consumer throttles the workers (backpressure) and peak memory is one
+    window of results, never ``num_tasks`` of them.  Results are yielded
+    strictly in task-id order no matter which worker finishes first, so
+    consumers see exactly the sequence a serial loop would produce.
 
     Falls back to a lazy in-process loop (same results, same order) when
     one worker is requested or the platform lacks ``fork``.  Closing the

@@ -281,9 +281,7 @@ class ColdStartSimulator:
                 and active <= scalar_drain_threshold
                 and active > 0
             ):
-                # Each remaining row is cloned into an equivalent scalar
-                # policy and finished through the scalar loop, resuming
-                # the banked accumulators.
+                # The scalar loop resumes each row's banked accumulators.
                 for row in range(active):
                     drained[row] = self._replay_scalar(
                         app_ids[order[row]],

@@ -66,8 +66,8 @@ _SHARDS_PER_WORKER = 4
 
 #: Estimated resident bytes of per-application engine state in one chunk:
 #: the hybrid pass's histogram bins (240 × int64 at the default config)
-#: plus its Welford state, counters and result columns (~75 bytes per
-#: hybrid policy, ~50 per constant one).  Used by the
+#: plus its Welford state, counters and result columns (~65 bytes per
+#: hybrid policy, ~40 per constant one).  Used by the
 #: ``max_resident_bytes`` chunk geometry so many-small-app workloads are
 #: bounded by app count too, not only by invocation bytes.
 _PER_APP_RESIDENT_BYTES = 4096

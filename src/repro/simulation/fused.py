@@ -19,8 +19,9 @@ invocation count.
 
 Because every engine route simulates applications independently, the
 concatenated per-chunk results equal a run over the full store: per-app
-metrics never look across application boundaries.  The equality is pinned per
-route and per ``gen_workers`` by ``tests/simulation/test_fused.py``.
+metrics never look across application boundaries.  The equality is
+pinned per route and per ``gen_workers`` by
+``tests/simulation/test_fused.py``.
 """
 
 from __future__ import annotations

@@ -298,7 +298,10 @@ def _evaluate_scalar(
     return {
         factory.name: merge_results(
             factory.name,
-            [simulator.simulate_app(app_id, times, factory.create()) for app_id, times in apps],
+            [
+                simulator.simulate_app(app_id, times, factory.create())
+                for app_id, times in apps
+            ],
         )
         for factory in factories
     }

@@ -122,8 +122,8 @@ def iter_chunk_columns(
     pool and reassembled in chunk order with at most ``workers + 2`` in
     flight (:func:`~repro.core.pool.fork_pool_imap`), so a slow consumer
     throttles the workers and peak memory stays one window of results;
-    with one worker the chunks are made lazily in this process.  Output is byte-for-byte
-    independent of ``workers``.
+    with one worker the chunks are made lazily in this process.  Output
+    is byte-for-byte independent of ``workers``.
 
     Args:
         config: Generator parameters.
