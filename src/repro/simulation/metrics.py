@@ -281,8 +281,7 @@ class AggregateResult:
             "third_quartile_app_cold_start_pct": self.third_quartile_cold_start_percentage,
             "always_cold_fraction": self.always_cold_fraction,
             "wasted_memory_minutes": self.total_wasted_memory_minutes,
-            # Every application weighs the same; the key stays because the
-            # bench digest hashes the key names.
+            # Unweighted; the key stays because the bench digest hashes key names.
             "wasted_memory_mb_minutes": self.total_wasted_memory_minutes,
         }
 
