@@ -150,6 +150,46 @@ def test_fork_pool_map_still_returns_in_task_order():
     assert list(pool.fork_pool_imap(task, 7, 2)) == [i * i for i in range(7)]
 
 
+@pytest.mark.parametrize("workers", [2, 3])
+def test_imap_dispatches_workers_plus_two_tasks_ahead(monkeypatch, workers):
+    """The streaming window: ``workers + 2`` tasks ahead of the consumer."""
+    submitted = []
+    fork_pool = pool._fork_pool
+
+    def counting_fork_pool(task, num_workers):
+        forked, token, pool_workers = fork_pool(task, num_workers)
+        apply_async = forked.apply_async
+
+        def counted(func, args):
+            submitted.append(args[0][1])
+            return apply_async(func, args)
+
+        forked.apply_async = counted
+        return forked, token, pool_workers
+
+    monkeypatch.setattr(pool, "_fork_pool", counting_fork_pool)
+    num_tasks = 10
+    results = []
+    for index, result in enumerate(pool.fork_pool_imap(lambda i: i * i, num_tasks, workers)):
+        assert len(submitted) == min(num_tasks, index + workers + 2)
+        results.append(result)
+    assert submitted == list(range(num_tasks))
+    assert results == [i * i for i in range(num_tasks)]
+
+
+def test_imap_in_process_fallback_is_lazy():
+    """With one worker a task runs only when the consumer asks for it."""
+    ran = []
+
+    def task(i: int) -> int:
+        ran.append(i)
+        return i * i
+
+    for index, result in enumerate(pool.fork_pool_imap(task, 5, 1)):
+        assert ran == list(range(index + 1))
+        assert result == index * index
+
+
 def test_a_worker_without_this_pools_closure_runs_nothing(monkeypatch):
     """A replacement worker inherits no closure, or another pool's."""
     ran = []

@@ -323,8 +323,16 @@ class TestEdgeCaseWorkloads:
         reference = run_engine(workload, factory, "serial")
         candidate = run_engine(workload, factory, engine)
         assert_results_equivalent(reference, candidate)
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_min_invocations_filter_matches(self, engine):
         # Every engine skips the application without invocations.
+        workload = self.edge_workload()
+        reference = run_engine(workload, fixed_keepalive_factory(10.0), "serial")
+        candidate = run_engine(workload, fixed_keepalive_factory(10.0), engine)
         assert reference.num_apps == candidate.num_apps == 4
+        assert "empty" not in candidate.app_ids
+        assert_results_equivalent(reference, candidate)
 
     def test_empty_workload_sharded(self):
         workload = make_workload({"empty": []})

@@ -206,6 +206,18 @@ class TestStoreOnlyEngine:
         engine = SimulationEngine(mapped_store)
         assert engine.store is mapped_store
 
+    def test_slices_leave_out_apps_without_invocations(self):
+        workload = make_workload(
+            {"a": [1.0], "idle": [], "b": [2.0, 3.0], "idle-too": []}
+        )
+        engine = SimulationEngine(workload)
+        assert engine.eligible_app_count() == 2
+        chunk = engine.csr_slice()
+        assert chunk.app_ids == ("a", "b")
+        assert chunk.offsets.tolist() == [0, 1, 3]
+        assert chunk.times.tolist() == [1.0, 2.0, 3.0]
+        assert engine.csr_slice(1, 2).app_ids == ()
+
 
 class TestSharedMemoryShards:
     def test_results_identical_across_1_2_4_workers(self, mapped_store):

@@ -11,6 +11,8 @@ from repro.policies.registry import (
 )
 from repro.simulation.runner import RunnerOptions, WorkloadRunner, run_policy_over_workload
 from repro.simulation.sweep import (
+    combined_figure_factories,
+    figure_factories,
     sweep_arima_contribution,
     sweep_cutoffs,
     sweep_cv_threshold,
@@ -28,9 +30,11 @@ class TestWorkloadRunner:
         assert result.num_apps == 2
         assert result.total_invocations == two_app_workload.total_invocations
 
-    def test_apps_without_invocations_skipped(self):
+    def test_min_invocations_filter(self):
+        # Applications without invocations are always skipped.
         workload = make_workload({"busy": [1.0, 2.0, 3.0], "idle": []})
         result = WorkloadRunner(workload).run_policy(fixed_keepalive_factory(10))
+        assert result.num_apps == 1
         assert result.app_ids == ("busy",)
 
     def test_progress_callback_invoked(self, two_app_workload):
@@ -84,6 +88,18 @@ class TestWorkloadRunner:
 
 
 class TestSweeps:
+    def test_combined_figures_deduplicate_and_append_the_baseline(self):
+        fig16 = [factory.name for factory in figure_factories("fig16")]
+        combined = [factory.name for factory in combined_figure_factories(["fig16"])]
+        assert combined == fig16 + ["fixed-10min"]
+        # fig14 already holds the baseline and shares no-unloading with fig16.
+        combined = [
+            factory.name for factory in combined_figure_factories(["fig14", "fig16"])
+        ]
+        assert len(combined) == len(set(combined))
+        assert combined[:9] == [factory.name for factory in figure_factories("fig14")]
+        assert combined[9:] == [name for name in fig16 if name != "no-unloading"]
+
     def test_fixed_keepalive_sweep_is_monotone(self, medium_workload):
         sweep = sweep_fixed_keepalive(medium_workload, keepalive_minutes=(10, 60, 120))
         q10 = sweep.third_quartile("fixed-10min")
